@@ -37,12 +37,6 @@ from repro.errors import SimulationError
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.system import SystemModel
 
-#: Interned ``"island{i}.slot{s}"`` actor names, shared by every traced
-#: scheduler (the strings depend only on the indices).  Bounded by the
-#: platform's slot count, and only populated on traced runs.
-_ACTOR_NAMES: dict = {}
-
-
 class TileScheduler:
     """Runs one flow-graph instance to completion.
 
@@ -148,13 +142,7 @@ class TileScheduler:
     ) -> None:
         tracer = self._tracer
         if tracer is not None:
-            # Raw span-tuple append (the Tracer materializes records
-            # lazily): the scheduler records several spans per task, and
-            # the monotone simulation clock guarantees start <= end so
-            # Tracer.record's validation is vacuous here.
-            tracer._spans.append(
-                (start, self.system.sim.now, actor, kind, label, ref, args)
-            )
+            tracer.span(start, self.system.sim.now, actor, kind, label, ref, args)
 
     def _tag(self, task_id: str) -> str:
         """Correlation id of one task of this tile (``tenant1.t3.conv0``)."""
@@ -169,22 +157,17 @@ class TileScheduler:
         self, start: float, actor: str, task_id: str, producers
     ) -> None:
         """Record the task's aggregate span carrying the DAG edges."""
-        tracer = self._tracer
-        if tracer is not None:
-            # Raw span-tuple append; see _trace for the rationale.
-            tracer._spans.append(
-                (
-                    start,
-                    self.system.sim.now,
-                    actor,
-                    "task",
-                    task_id,
-                    self._tag(task_id),
-                    {
-                        "deps": [self._tag(p) for p in producers],
-                        "tenant": self.tenant,
-                    },
-                )
+        if self._tracer is not None:
+            self._trace(
+                start,
+                "task",
+                actor,
+                task_id,
+                self._tag(task_id),
+                {
+                    "deps": [self._tag(p) for p in producers],
+                    "tenant": self.tenant,
+                },
             )
 
     # --------------------------------------------------------- task process
@@ -215,11 +198,9 @@ class TileScheduler:
         self.locations[task_id] = (grant.island_index, grant.slot)
         island = system.islands[grant.island_index]
         if self._tracer is not None:
-            key = (grant.island_index, grant.slot)
-            actor = _ACTOR_NAMES.get(key)
-            if actor is None:
-                actor = f"island{grant.island_index}.slot{grant.slot}"
-                _ACTOR_NAMES[key] = actor
+            actor = self._tracer.name(
+                ("island{}.slot{}", grant.island_index, grant.slot)
+            )
         else:
             actor = ""
         if system.sim.now > requested_at:

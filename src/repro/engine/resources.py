@@ -12,10 +12,13 @@ import collections
 import typing
 
 from repro.engine.event import Event
+from repro.engine.pipeline import as_event
 from repro.errors import CapacityError, ConfigError
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.engine.simulator import Simulator
+
+_INF = float("inf")
 
 
 class Resource:
@@ -133,29 +136,28 @@ class BandwidthServer:
         self.busy_cycles = 0.0
         self.total_bytes = 0.0
         self.total_transfers = 0
-        # Completion time of the most recent transfer().  Lets callers
-        # that cannot wrap the transfer in a process (wrapping would
-        # reorder same-time events and perturb the simulation) still
-        # know the span the transfer occupies, e.g. for tracing.
+        # Completion time of the most recent transfer, e.g. for the
+        # span of a leg whose Event the caller hands on unwrapped.
         self.last_done = 0.0
 
-    def occupancy_for(self, nbytes: float) -> float:
-        """Channel occupancy (cycles) of a transfer of ``nbytes``."""
-        return nbytes / self.bytes_per_cycle
-
     def reserve(self, nbytes: float) -> float:
-        """Account one transfer analytically; returns its completion time.
+        """Account one transfer; returns its completion time.
 
-        Performs exactly the accounting :meth:`transfer` performs —
-        FIFO queueing behind ``_free_at`` included, so the returned
-        completion time is identical under contention — but schedules
-        nothing.  Callers that need a wake-up at the returned time (the
-        fast-path transfer chains) schedule their own single entry.
+        The server's one accounting site: FIFO queueing behind
+        ``_free_at``, busy time, bytes and the transfer count.  It
+        schedules nothing; :meth:`transfer` adds the one heap entry,
+        and pipelines schedule their own wake-up at the returned time.
+        A negative, NaN or infinite size is rejected before any
+        accounting, so a bad transfer cannot leave the server's
+        counters poisoned.
         """
-        if nbytes < 0:
-            raise ConfigError(f"transfer size must be non-negative, got {nbytes}")
+        if not (0.0 <= nbytes < _INF):
+            raise ConfigError(
+                f"transfer size must be finite and non-negative, got {nbytes!r}"
+            )
         now = self.sim.now
-        start = max(now, self._free_at)
+        free_at = self._free_at
+        start = now if now > free_at else free_at
         occupancy = nbytes / self.bytes_per_cycle
         self._free_at = start + occupancy
         self.busy_cycles += occupancy
@@ -166,30 +168,8 @@ class BandwidthServer:
         return done
 
     def transfer(self, nbytes: float) -> Event:
-        """Enqueue a transfer; the returned event fires at completion.
-
-        The accounting is :meth:`reserve`'s, inlined statement for
-        statement (same float-operation order, so both paths produce
-        bit-identical completion times); keep the two in lockstep.
-        """
-        if nbytes < 0:
-            raise ConfigError(f"transfer size must be non-negative, got {nbytes}")
-        sim = self.sim
-        now = sim.now
-        free_at = self._free_at
-        start = now if now > free_at else free_at
-        occupancy = nbytes / self.bytes_per_cycle
-        self._free_at = start + occupancy
-        self.busy_cycles += occupancy
-        self.total_bytes += nbytes
-        self.total_transfers += 1
-        done = start + occupancy + self.latency
-        self.last_done = done
-        event = Event(sim)
-        event.value = nbytes
-        event._scheduled = True
-        sim._schedule(done, event._fire)
-        return event
+        """Enqueue a transfer; the returned event fires at completion."""
+        return as_event(self.sim, self.reserve(nbytes), nbytes)
 
     def transfer_analytic(self, nbytes: float) -> typing.Union[float, Event]:
         """Fast-path transfer: a float when uncontended, an event when not.

@@ -104,12 +104,11 @@ class Tracer:
     actor, kind, label, ref, args)``; :class:`TraceRecord` objects are
     materialized lazily the first time :attr:`records` is read (queries,
     exports, tests), so a traced simulation never pays per-span object
-    construction inside the event loop.  Recording sites inside the
-    engine append tuples to ``_spans`` directly; everything else goes
-    through :meth:`record`.
+    construction inside the event loop.  Simulation hot paths record
+    through :meth:`span`; everything else goes through :meth:`record`.
     """
 
-    __slots__ = ("_spans", "_records", "_materialized")
+    __slots__ = ("_spans", "_records", "_materialized", "_names")
 
     def __init__(self) -> None:
         # Raw span tuples in record order — the hot-path storage.
@@ -118,6 +117,8 @@ class Tracer:
         self._records: typing.Optional[list] = None
         # How many _spans entries are already in the cache.
         self._materialized = 0
+        # Interned actor and label strings, by key (see name()).
+        self._names: dict = {}
 
     @property
     def records(self) -> list:
@@ -173,6 +174,42 @@ class Tracer:
         if not (-_inf < start <= end < _inf):
             TraceRecord(start, end, actor, kind, label, ref, args)
         self._spans.append((start, end, actor, kind, label, ref, args))
+
+    def span(
+        self,
+        start: float,
+        end: float,
+        actor: typing.Any,
+        kind: str,
+        label: typing.Any = "",
+        ref: str = "",
+        args: typing.Optional[typing.Mapping[str, typing.Any]] = None,
+    ) -> None:
+        """Append one span from a simulation hot path.
+
+        ``actor`` and ``label`` are strings or :meth:`name` keys, so a
+        site formats each distinct name once.  Unlike :meth:`record`
+        there is no validation: spans taken from the monotone
+        simulation clock always satisfy ``start <= end``.
+        """
+        if actor.__class__ is not str:
+            actor = self.name(actor)
+        if label.__class__ is not str:
+            label = self.name(label)
+        self._spans.append((start, end, actor, kind, label, ref, args))
+
+    def name(self, key: typing.Any) -> str:
+        """The interned string for ``key``: a byte count becomes
+        ``"<n>B"``, a tuple ``(template, *fields)`` becomes
+        ``template.format(*fields)``."""
+        text = self._names.get(key)
+        if text is None:
+            if key.__class__ is tuple:
+                text = key[0].format(*key[1:])
+            else:
+                text = f"{key:g}B"
+            self._names[key] = text
+        return text
 
     # ---------------------------------------------------------------- query
     def by_actor(self, actor: str) -> list:

@@ -14,8 +14,11 @@
   consumes ``h/L`` of the aggregate ring capacity, which captures the
   spatial reuse that makes rings scale where the proxy crossbar does not.
 
-All transfers are returned as engine events; dynamic energy is charged to
-the island's :class:`~repro.power.aggregate.EnergyAccount` under
+Each design implements one method, :meth:`SpmDmaNetwork.leg`, whose
+result follows the stage protocol of :mod:`repro.engine.pipeline` (a
+float completion time or an Event); the Event APIs ``dma_to_spm``,
+``spm_to_dma`` and ``chain`` derive from it.  Dynamic energy is charged
+to the island's :class:`~repro.power.aggregate.EnergyAccount` under
 ``"island_net"``.
 """
 
@@ -25,7 +28,7 @@ import abc
 import math
 import typing
 
-from repro.engine import BandwidthServer, Event, FastChain, Simulator
+from repro.engine import HOOK, LEG, BandwidthServer, Event, Pipeline, Simulator, as_event
 from repro.errors import ConfigError
 from repro.island.config import NetworkKind, SpmDmaNetworkConfig
 from repro.power.aggregate import EnergyAccount
@@ -73,40 +76,31 @@ class SpmDmaNetwork(abc.ABC):
 
     # ------------------------------------------------------------ transfers
     @abc.abstractmethod
+    def leg(
+        self,
+        src_slot: typing.Optional[int],
+        dst_slot: typing.Optional[int],
+        nbytes: float,
+    ) -> typing.Union[float, Event]:
+        """Move ``nbytes`` from ``src_slot``'s SPM group to ``dst_slot``'s,
+        ``None`` standing for the DMA engine.
+
+        Returns the completion time as a float when it is known in
+        closed form at issue (the caller schedules the wake-up), else
+        the exact model's Event.
+        """
+
     def dma_to_spm(self, slot: int, nbytes: float) -> Event:
         """Move ``nbytes`` from the DMA engine into slot's SPM group."""
+        return as_event(self.sim, self.leg(None, slot, nbytes), nbytes)
 
-    @abc.abstractmethod
     def spm_to_dma(self, slot: int, nbytes: float) -> Event:
         """Move ``nbytes`` from slot's SPM group to the DMA engine."""
+        return as_event(self.sim, self.leg(slot, None, nbytes), nbytes)
 
-    @abc.abstractmethod
     def chain(self, src_slot: int, dst_slot: int, nbytes: float) -> Event:
         """Move ``nbytes`` directly between two slots' SPM groups."""
-
-    # ------------------------------------------------------- fast variants
-    # Fast-path counterparts used by the island's transfer chains: they
-    # may return the analytically known completion time as a float when
-    # the underlying channel is uncontended (the caller schedules the
-    # single wake-up) instead of an Event.  The defaults fall back to
-    # the exact event-returning model, so subclasses opt in per path.
-    def dma_to_spm_fast(self, slot: int, nbytes: float) -> typing.Union[float, Event]:
-        """Analytic variant of :meth:`dma_to_spm`: a float completion time
-        when the transfer is uncontended, else the exact-model Event.
-        The base implementation always takes the exact path."""
-        return self.dma_to_spm(slot, nbytes)
-
-    def spm_to_dma_fast(self, slot: int, nbytes: float) -> typing.Union[float, Event]:
-        """Analytic variant of :meth:`spm_to_dma` (see
-        :meth:`dma_to_spm_fast`)."""
-        return self.spm_to_dma(slot, nbytes)
-
-    def chain_fast(
-        self, src_slot: int, dst_slot: int, nbytes: float
-    ) -> typing.Union[float, Event]:
-        """Analytic variant of :meth:`chain` (see
-        :meth:`dma_to_spm_fast`)."""
-        return self.chain(src_slot, dst_slot, nbytes)
+        return as_event(self.sim, self.leg(src_slot, dst_slot, nbytes), nbytes)
 
     # ------------------------------------------------------------ physicals
     @property
@@ -127,35 +121,12 @@ class SpmDmaNetwork(abc.ABC):
         if not 0 <= slot < self.n_slots:
             raise ConfigError(f"slot {slot} out of range (0..{self.n_slots - 1})")
 
-
-class _ProxyChainTransfer(FastChain):
-    """SPM -> DMA -> SPM store-and-forward over the proxy crossbar.
-
-    Mirrors the generator it replaces entry for entry: kick, one entry
-    per traversal/DMA completion, final fire.
-    """
-
-    __slots__ = ("_network", "_nbytes")
-
-    def __init__(self, network: "ProxyCrossbarNetwork", nbytes: float) -> None:
-        self._network = network
-        self._nbytes = nbytes
-        FastChain.__init__(self, network.sim)
-
-    def _step(self, stage: int):
-        network = self._network
-        if stage == 0:
-            return network._traverse_fast(self._nbytes)  # SPM -> DMA
-        if stage == 1:
-            dma = network._dma
-            if dma is None:
-                self._stage = 3
-                return network._traverse_fast(self._nbytes)  # DMA -> SPM
-            return dma.transfer_analytic(self._nbytes)  # store-and-forward
-        if stage == 2:
-            return network._traverse_fast(self._nbytes)  # DMA -> SPM
-        self.event.succeed(self._nbytes)
-        return None
+    def _check_slots(
+        self, src_slot: typing.Optional[int], dst_slot: typing.Optional[int]
+    ) -> None:
+        for slot in (src_slot, dst_slot):
+            if slot is not None:
+                self._check_slot(slot)
 
 
 class ProxyCrossbarNetwork(SpmDmaNetwork):
@@ -174,56 +145,32 @@ class ProxyCrossbarNetwork(SpmDmaNetwork):
             latency=CROSSBAR_TRAVERSAL_LATENCY,
             name="proxy_xbar_dma_port",
         )
-        self._dma: typing.Optional[BandwidthServer] = None
+        traverse = (
+            (HOOK, lambda run: self._charge(run.nbytes), None),
+            (LEG, self._port, None),
+        )
+        self._traverse = traverse
+        self._chain_path = traverse + traverse
 
     def attach_dma(self, dma: BandwidthServer) -> None:
         """Couple the island's DMA engine into the chaining path."""
-        self._dma = dma
+        self._chain_path = self._traverse + ((LEG, dma, None),) + self._traverse
 
-    def _traverse(self, nbytes: float) -> Event:
+    def _charge(self, nbytes: float) -> None:
         self.energy.charge(
             "island_net",
             crossbar_traversal_energy_nj(nbytes, targets=self.total_banks),
         )
-        return self._port.transfer(nbytes)
 
-    def _traverse_fast(self, nbytes: float) -> typing.Union[float, Event]:
-        self.energy.charge(
-            "island_net",
-            crossbar_traversal_energy_nj(nbytes, targets=self.total_banks),
-        )
+    def leg(self, src_slot, dst_slot, nbytes):
+        """One crossbar traversal to or from the DMA; chaining proxies
+        SPM -> DMA -> SPM through the DMA engine (two traversals with a
+        store-and-forward DMA leg between, when the DMA is attached)."""
+        self._check_slots(src_slot, dst_slot)
+        if src_slot is not None and dst_slot is not None:
+            return Pipeline(self.sim, self._chain_path, nbytes).event
+        self._charge(nbytes)
         return self._port.transfer_analytic(nbytes)
-
-    def dma_to_spm(self, slot: int, nbytes: float) -> Event:
-        self._check_slot(slot)
-        return self._traverse(nbytes)
-
-    def spm_to_dma(self, slot: int, nbytes: float) -> Event:
-        self._check_slot(slot)
-        return self._traverse(nbytes)
-
-    def dma_to_spm_fast(self, slot: int, nbytes: float) -> typing.Union[float, Event]:
-        """One crossbar traversal; float when the crossbar is idle."""
-        self._check_slot(slot)
-        return self._traverse_fast(nbytes)
-
-    def spm_to_dma_fast(self, slot: int, nbytes: float) -> typing.Union[float, Event]:
-        """One crossbar traversal; float when the crossbar is idle."""
-        self._check_slot(slot)
-        return self._traverse_fast(nbytes)
-
-    def chain(self, src_slot: int, dst_slot: int, nbytes: float) -> Event:
-        """Chaining proxies through the DMA: two sequential traversals."""
-        self._check_slot(src_slot)
-        self._check_slot(dst_slot)
-        return _ProxyChainTransfer(self, nbytes).event
-
-    def chain_fast(
-        self, src_slot: int, dst_slot: int, nbytes: float
-    ) -> typing.Union[float, Event]:
-        """Two traversals with a DMA store-and-forward leg between; the
-        chain object handles per-leg analytic/exact fallback itself."""
-        return self.chain(src_slot, dst_slot, nbytes)
 
     @property
     def area_mm2(self) -> float:
@@ -266,43 +213,14 @@ class ChainingCrossbarNetwork(SpmDmaNetwork):
             crossbar_traversal_energy_nj(nbytes, targets=self.total_banks + 1),
         )
 
-    def dma_to_spm(self, slot: int, nbytes: float) -> Event:
-        self._check_slot(slot)
+    def leg(self, src_slot, dst_slot, nbytes):
+        """A DMA-port hop, or a direct SPM -> SPM transfer over the
+        parallel chaining paths."""
+        self._check_slots(src_slot, dst_slot)
         self._charge(nbytes)
-        return self._dma_port.transfer(nbytes)
-
-    def spm_to_dma(self, slot: int, nbytes: float) -> Event:
-        self._check_slot(slot)
-        self._charge(nbytes)
-        return self._dma_port.transfer(nbytes)
-
-    def chain(self, src_slot: int, dst_slot: int, nbytes: float) -> Event:
-        """Direct SPM -> SPM transfer over the parallel chaining paths."""
-        self._check_slot(src_slot)
-        self._check_slot(dst_slot)
-        self._charge(nbytes)
-        return self._chain_paths.transfer(nbytes)
-
-    def dma_to_spm_fast(self, slot: int, nbytes: float) -> typing.Union[float, Event]:
-        """DMA-port hop; float when the port is idle at issue."""
-        self._check_slot(slot)
-        self._charge(nbytes)
+        if src_slot is not None and dst_slot is not None:
+            return self._chain_paths.transfer_analytic(nbytes)
         return self._dma_port.transfer_analytic(nbytes)
-
-    def spm_to_dma_fast(self, slot: int, nbytes: float) -> typing.Union[float, Event]:
-        """DMA-port hop; float when the port is idle at issue."""
-        self._check_slot(slot)
-        self._charge(nbytes)
-        return self._dma_port.transfer_analytic(nbytes)
-
-    def chain_fast(
-        self, src_slot: int, dst_slot: int, nbytes: float
-    ) -> typing.Union[float, Event]:
-        """Direct chaining path; float when that path is idle at issue."""
-        self._check_slot(src_slot)
-        self._check_slot(dst_slot)
-        self._charge(nbytes)
-        return self._chain_paths.transfer_analytic(nbytes)
 
     @property
     def area_mm2(self) -> float:
@@ -322,37 +240,6 @@ class ChainingCrossbarNetwork(SpmDmaNetwork):
             self._dma_port.utilization(elapsed),
             self._chain_paths.utilization(elapsed),
         )
-
-
-class _RingTransfer(FastChain):
-    """One ring traversal: fluid capacity occupancy, then hop latency.
-
-    Mirrors the generator it replaces entry for entry: kick, capacity
-    completion, hop-latency expiry, final fire.
-    """
-
-    __slots__ = ("_capacity", "_effective", "_hop_cycles", "_nbytes")
-
-    def __init__(
-        self,
-        network: "RingNetwork",
-        effective: float,
-        hop_cycles: float,
-        nbytes: float,
-    ) -> None:
-        self._capacity = network._capacity
-        self._effective = effective
-        self._hop_cycles = hop_cycles
-        self._nbytes = nbytes
-        FastChain.__init__(self, network.sim)
-
-    def _step(self, stage: int):
-        if stage == 0:
-            return self._capacity.transfer_analytic(self._effective)
-        if stage == 1:
-            return self.sim.now + self._hop_cycles
-        self.event.succeed(self._nbytes)
-        return None
 
 
 class RingNetwork(SpmDmaNetwork):
@@ -383,6 +270,9 @@ class RingNetwork(SpmDmaNetwork):
             width_bytes=config.link_width_bytes,
             length_mm=perimeter / self.n_nodes,
         )
+        # One traversal: fluid capacity occupancy, then hop latency
+        # (``run.ctx`` is the hop count).
+        self._path = ((HOOK, self._occupy, None), (HOOK, self._hop_latency, None))
 
     # -------------------------------------------------------------- routing
     def hops(self, src_node: int, dst_node: int) -> int:
@@ -391,17 +281,26 @@ class RingNetwork(SpmDmaNetwork):
             return 0
         return (dst_node - src_node) % self.n_nodes
 
-    def _slot_node(self, slot: int) -> int:
+    def _node(self, slot: typing.Optional[int]) -> int:
+        if slot is None:
+            return 0
         self._check_slot(slot)
         return slot + 1
 
-    def _start_transfer(
+    def leg(self, src_slot, dst_slot, nbytes):
+        """Ring traversal between the slots' stops; a float on a zero-hop
+        move."""
+        return self._traverse(self._node(src_slot), self._node(dst_slot), nbytes)
+
+    def _transfer(self, src_node: int, dst_node: int, nbytes: float) -> Event:
+        return as_event(self.sim, self._traverse(src_node, dst_node, nbytes), nbytes)
+
+    def _traverse(
         self, src_node: int, dst_node: int, nbytes: float
-    ) -> typing.Optional["_RingTransfer"]:
-        """Charge energy and launch the traversal chain (None at 0 hops)."""
+    ) -> typing.Union[float, Event]:
         hops = self.hops(src_node, dst_node)
         if hops == 0:
-            return None
+            return self.sim.now
         self.energy.charge(
             "island_net",
             hops
@@ -410,51 +309,13 @@ class RingNetwork(SpmDmaNetwork):
                 + self._link.transfer_energy_nj(nbytes)
             ),
         )
-        effective = nbytes * hops / self.n_nodes
-        return _RingTransfer(self, effective, RING_HOP_LATENCY * hops, nbytes)
+        return Pipeline(self.sim, self._path, nbytes, ctx=hops).event
 
-    def _transfer(self, src_node: int, dst_node: int, nbytes: float) -> Event:
-        chain = self._start_transfer(src_node, dst_node, nbytes)
-        if chain is None:
-            done = Event(self.sim)
-            done.succeed(nbytes)
-            return done
-        return chain.event
+    def _occupy(self, run: Pipeline) -> typing.Union[float, Event]:
+        return self._capacity.transfer_analytic(run.nbytes * run.ctx / self.n_nodes)
 
-    def _transfer_fast(
-        self, src_node: int, dst_node: int, nbytes: float
-    ) -> typing.Union[float, Event]:
-        chain = self._start_transfer(src_node, dst_node, nbytes)
-        if chain is None:
-            return self.sim.now
-        return chain.event
-
-    def dma_to_spm(self, slot: int, nbytes: float) -> Event:
-        return self._transfer(0, self._slot_node(slot), nbytes)
-
-    def spm_to_dma(self, slot: int, nbytes: float) -> Event:
-        return self._transfer(self._slot_node(slot), 0, nbytes)
-
-    def chain(self, src_slot: int, dst_slot: int, nbytes: float) -> Event:
-        return self._transfer(
-            self._slot_node(src_slot), self._slot_node(dst_slot), nbytes
-        )
-
-    def dma_to_spm_fast(self, slot: int, nbytes: float) -> typing.Union[float, Event]:
-        """Ring traversal from the DMA stop; float on a zero-hop move."""
-        return self._transfer_fast(0, self._slot_node(slot), nbytes)
-
-    def spm_to_dma_fast(self, slot: int, nbytes: float) -> typing.Union[float, Event]:
-        """Ring traversal to the DMA stop; float on a zero-hop move."""
-        return self._transfer_fast(self._slot_node(slot), 0, nbytes)
-
-    def chain_fast(
-        self, src_slot: int, dst_slot: int, nbytes: float
-    ) -> typing.Union[float, Event]:
-        """Slot-to-slot ring traversal; float on a zero-hop move."""
-        return self._transfer_fast(
-            self._slot_node(src_slot), self._slot_node(dst_slot), nbytes
-        )
+    def _hop_latency(self, run: Pipeline) -> float:
+        return run.sim.now + RING_HOP_LATENCY * run.ctx
 
     # ------------------------------------------------------------ physicals
     @property

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import typing
 
-from repro.engine import BandwidthServer, Event, Simulator
+from repro.engine import BandwidthServer, Event, Simulator, as_event
 from repro.engine.trace import Tracer
 from repro.errors import ConfigError
 from repro.mem.dram import DRAM_ENERGY_PJ_PER_BYTE
@@ -48,9 +48,6 @@ class MemoryController:
         self.energy = energy if energy is not None else EnergyAccount()
         self.tracer = tracer
         self._span_actor = f"mem.mc{index}"
-        # Byte-count labels repeat per tile shape; formatting them once
-        # keeps tracing cheap on hot paths.
-        self._span_labels: dict[float, str] = {}
         self._channel = BandwidthServer(
             sim,
             bytes_per_cycle=gbps_to_bytes_per_cycle(bandwidth_gbps, ACCEL_CLOCK),
@@ -60,47 +57,26 @@ class MemoryController:
 
     def access(self, nbytes: float, ref: str = "") -> Event:
         """Read or write ``nbytes``; the event fires when data is served."""
-        self.energy.charge("dram", DRAM_ENERGY_PJ_PER_BYTE * nbytes * 1e-3)
-        start = self._channel.sim.now
-        event = self._channel.transfer(nbytes)
-        if self.tracer is not None:
-            label = self._span_labels.get(nbytes)
-            if label is None:
-                label = f"{nbytes:g}B"
-                self._span_labels[nbytes] = label
-            # access() returns the channel event directly — no wrapping
-            # process exists to observe completion — so the span end is
-            # the channel's analytically known drain time.  Raw
-            # span-tuple append (the Tracer materializes records
-            # lazily): last_done >= start always, so Tracer.record's
-            # validation is vacuous here.
-            self.tracer._spans.append(
-                (start, self._channel.last_done, self._span_actor, "mem", label, ref, None)
-            )
-        return event
+        return as_event(self._channel.sim, self.access_leg(nbytes, ref), nbytes)
 
-    def access_fast(
+    def access_leg(
         self, nbytes: float, ref: str = ""
     ) -> typing.Union[float, Event]:
-        """Analytic variant of :meth:`access`.
+        """:meth:`access` as a pipeline stage result: the completion time
+        as a float when the channel is idle at issue, else the exact
+        queued Event.
 
-        Returns the completion time as a float when the channel is idle
-        at issue (no event, no heap entry); falls back to the exact
-        queued Event the moment another access is in flight.  Energy and
-        tracing are identical either way — the span end was always the
-        channel's analytically known drain time.
+        The traced span ends at the channel's analytically known drain
+        time, recorded at issue: no wrapping process exists to observe
+        completion.
         """
         self.energy.charge("dram", DRAM_ENERGY_PJ_PER_BYTE * nbytes * 1e-3)
-        start = self._channel.sim.now
-        result = self._channel.transfer_analytic(nbytes)
+        channel = self._channel
+        start = channel.sim.now
+        result = channel.transfer_analytic(nbytes)
         if self.tracer is not None:
-            label = self._span_labels.get(nbytes)
-            if label is None:
-                label = f"{nbytes:g}B"
-                self._span_labels[nbytes] = label
-            # Raw span-tuple append; see access() for the rationale.
-            self.tracer._spans.append(
-                (start, self._channel.last_done, self._span_actor, "mem", label, ref, None)
+            self.tracer.span(
+                start, channel.last_done, self._span_actor, "mem", nbytes, ref
             )
         return result
 
@@ -155,15 +131,15 @@ class MemorySystem:
         """Serve an access on the interleave-selected controller."""
         return self.controller_for(stream_id).access(nbytes, ref)
 
-    def access_fast(
+    def access_leg(
         self,
         nbytes: float,
         stream_id: typing.Optional[int] = None,
         ref: str = "",
     ) -> typing.Union[float, Event]:
-        """Analytic variant of :meth:`access` (see
-        :meth:`MemoryController.access_fast`)."""
-        return self.controller_for(stream_id).access_fast(nbytes, ref)
+        """:meth:`access` as a pipeline stage result (see
+        :meth:`MemoryController.access_leg`)."""
+        return self.controller_for(stream_id).access_leg(nbytes, ref)
 
     def total_bytes(self) -> float:
         """Bytes served across all controllers."""

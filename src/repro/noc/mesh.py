@@ -6,7 +6,8 @@ its path, and pays one router-pipeline latency per hop.  Wormhole
 pipelining is approximated by completing when the *slowest* link on the
 path has drained the payload — links are charged in parallel, so a
 congested link delays the message but uncongested links do not serialize
-behind each other.
+behind each other.  A transfer reserves its links at issue; a short
+pipeline (path-drain join, router latency, arrival) does the rest.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import math
 import typing
 
-from repro.engine import BandwidthServer, Event, FastChain, Simulator
+from repro.engine import DELAY, HOOK, BandwidthServer, Event, Pipeline, Simulator
 from repro.engine.trace import Tracer
 from repro.errors import ConfigError
 from repro.noc.topology import MeshTopology, Node
@@ -31,75 +32,6 @@ NOC_ENERGY_PJ_PER_BYTE_HOP = 1.1
 
 #: Header/flow-control overhead per packet when segmentation is on.
 PACKET_HEADER_BYTES = 8.0
-
-
-class _MeshTransfer(FastChain):
-    """Tail of one mesh transfer: path-drain join, router latency, fire.
-
-    The links themselves are reserved at issue time by
-    :meth:`MeshNoC.transfer` (exactly as the event-based model issued
-    every link transfer before its process started); this chain takes
-    over at the completion entry of the slowest link — via its own
-    scheduled wake-up when that link was uncontended, or the link
-    event's callback when it was not — and mirrors the process-based
-    tail entry for entry: barrier fire, router-latency expiry, final
-    fire (where the traced span is recorded, as before).
-    """
-
-    __slots__ = ("_noc", "_src", "_dst", "_nbytes", "_hops", "_router_cycles", "_ref", "_t0")
-
-    def __init__(
-        self,
-        noc: "MeshNoC",
-        src: Node,
-        dst: Node,
-        nbytes: float,
-        hops: int,
-        router_cycles: float,
-        ref: str,
-    ) -> None:
-        self._noc = noc
-        self._src = src
-        self._dst = dst
-        self._nbytes = nbytes
-        self._hops = hops
-        self._router_cycles = router_cycles
-        self._ref = ref
-        sim = noc.sim
-        self._t0 = sim.now
-        self.sim = sim
-        self.event = Event(sim)
-        self._stage = 0
-        self._advance_cb = self._advance
-        # No kick here: MeshNoC.transfer arms the first advance at the
-        # slowest link's completion.
-
-    def _step(self, stage: int):
-        if stage == 0:
-            # Mirrors the barrier fire the link-join scheduled.
-            return self.sim.now
-        if stage == 1:
-            return self.sim.now + self._router_cycles
-        noc = self._noc
-        if noc.tracer is not None:
-            src, dst = self._src, self._dst
-            key = (src.x, src.y, dst.x, dst.y)
-            actor = noc._route_actors.get(key)
-            if actor is None:
-                actor = f"mesh.{src.x},{src.y}->{dst.x},{dst.y}"
-                noc._route_actors[key] = actor
-            label = noc._span_labels.get((self._nbytes, self._hops))
-            if label is None:
-                label = f"{self._nbytes:g}B/{self._hops}h"
-                noc._span_labels[(self._nbytes, self._hops)] = label
-            # Raw span-tuple append (the Tracer materializes records
-            # lazily): the monotone clock guarantees start <= end, so
-            # Tracer.record's validation is vacuous here.
-            noc.tracer._spans.append(
-                (self._t0, self.sim.now, actor, "noc", label, self._ref, None)
-            )
-        self.event.succeed(self._nbytes)
-        return None
 
 
 class MeshNoC:
@@ -138,12 +70,12 @@ class MeshNoC:
         # multiplied per-hop router latency (see repro.faults).
         self.fault_injector = fault_injector
         self.tracer = tracer
-        # Route actor names and span labels for traced transfers, built
-        # once per distinct route / (bytes, hops) pair: per-span
-        # f-string formatting was a measurable share of tracing
-        # overhead.  Keys are plain ints/floats (cheap to hash).
-        self._route_actors: dict[tuple[int, int, int, int], str] = {}
-        self._span_labels: dict[tuple[float, int], str] = {}
+        # After the slowest link drains: a same-time entry for the path
+        # join, the router latency, then (traced) the arrival span.
+        # ``run.ctx`` is ``(router_cycles, issue_time, src, dst, hops)``.
+        self._tail = ((DELAY, 0.0, None), (HOOK, self._router_latency, None))
+        if tracer is not None:
+            self._tail += ((HOOK, self._trace_arrival, None),)
         self._links: dict[tuple[tuple[int, int], tuple[int, int]], BandwidthServer] = {}
         self.total_transfers = 0
         self.total_packets = 0
@@ -183,8 +115,10 @@ class MeshNoC:
         self, src: Node, dst: Node, nbytes: float, ref: str = ""
     ) -> Event:
         """Send ``nbytes`` from ``src`` to ``dst``; event fires on arrival."""
-        if nbytes < 0:
-            raise ConfigError(f"transfer size must be non-negative, got {nbytes}")
+        if not (0.0 <= nbytes < math.inf):
+            raise ConfigError(
+                f"transfer size must be finite and non-negative, got {nbytes!r}"
+            )
         path = self.route(src, dst)
         hops = len(path)
         self.total_transfers += 1
@@ -238,12 +172,28 @@ class MeshNoC:
                     * degraded_hops
                 )
 
-        chain = _MeshTransfer(self, src, dst, nbytes, hops, router_cycles, ref)
-        if slowest_event is None:
-            self.sim._schedule(slowest_done, chain._advance_cb)
-        else:
-            slowest_event.add_callback(chain._advance_cb)
-        return chain.event
+        return Pipeline(
+            self.sim,
+            self._tail,
+            nbytes,
+            ref,
+            (router_cycles, self.sim.now, src, dst, hops),
+            start=slowest_done if slowest_event is None else slowest_event,
+        ).event
+
+    def _router_latency(self, run: Pipeline) -> float:
+        return run.sim.now + run.ctx[0]
+
+    def _trace_arrival(self, run: Pipeline) -> None:
+        _router_cycles, issued, src, dst, hops = run.ctx
+        self.tracer.span(
+            issued,
+            run.sim.now,
+            ("mesh.{},{}->{},{}", src.x, src.y, dst.x, dst.y),
+            "noc",
+            ("{:g}B/{}h", run.nbytes, hops),
+            run.ref,
+        )
 
     # ------------------------------------------------------------- metrics
     def max_link_utilization(self, elapsed: float) -> float:

@@ -16,7 +16,7 @@ from repro.cmp.fallback import SoftwareFallbackModel
 from repro.cmp.xeon import XEON_E5_2420
 from repro.core.allocation import AllocationPolicy, locality_then_load_balance
 from repro.core.composer import AcceleratorBlockComposer
-from repro.engine import Event, FastChain, Resource, Simulator, Timeout
+from repro.engine import HOOK, Event, Pipeline, Resource, Simulator, Timeout
 from repro.engine.trace import Tracer
 from repro.errors import ConfigError
 from repro.faults import FaultInjector, FaultSpec, FaultStats
@@ -162,112 +162,6 @@ class SystemConfig:
         return digest(self)
 
 
-class _MemToIslandChain(FastChain):
-    """DRAM read -> mesh -> island ingress, without a wrapping process."""
-
-    __slots__ = ("_system", "_island_index", "_slot", "_nbytes", "_stream_id", "_ref")
-
-    def __init__(self, system, island_index, slot, nbytes, stream_id, ref):
-        self._system = system
-        self._island_index = island_index
-        self._slot = slot
-        self._nbytes = nbytes
-        self._stream_id = stream_id
-        self._ref = ref
-        FastChain.__init__(self, system.sim)
-
-    def _step(self, stage):
-        system = self._system
-        if stage == 0:
-            return system.memory.access_fast(
-                self._nbytes, self._stream_id, self._ref
-            )
-        if stage == 1:
-            return system.noc.transfer(
-                system._mc_node(self._stream_id),
-                system.topology.island(self._island_index),
-                self._nbytes,
-                self._ref,
-            )
-        if stage == 2:
-            return system.islands[self._island_index].ingress(
-                self._slot, self._nbytes, self._ref
-            )
-        self.event.succeed(self._nbytes)
-        return None
-
-
-class _IslandToMemChain(FastChain):
-    """Island egress -> mesh -> DRAM write, without a wrapping process."""
-
-    __slots__ = ("_system", "_island_index", "_slot", "_nbytes", "_stream_id", "_ref")
-
-    def __init__(self, system, island_index, slot, nbytes, stream_id, ref):
-        self._system = system
-        self._island_index = island_index
-        self._slot = slot
-        self._nbytes = nbytes
-        self._stream_id = stream_id
-        self._ref = ref
-        FastChain.__init__(self, system.sim)
-
-    def _step(self, stage):
-        system = self._system
-        if stage == 0:
-            return system.islands[self._island_index].egress(
-                self._slot, self._nbytes, self._ref
-            )
-        if stage == 1:
-            return system.noc.transfer(
-                system.topology.island(self._island_index),
-                system._mc_node(self._stream_id),
-                self._nbytes,
-                self._ref,
-            )
-        if stage == 2:
-            return system.memory.access_fast(
-                self._nbytes, self._stream_id, self._ref
-            )
-        self.event.succeed(self._nbytes)
-        return None
-
-
-class _IslandToIslandChain(FastChain):
-    """Cross-island chaining: egress -> mesh -> ingress."""
-
-    __slots__ = ("_system", "_src_index", "_src_slot", "_dst_index", "_dst_slot", "_nbytes", "_ref")
-
-    def __init__(self, system, src_index, src_slot, dst_index, dst_slot, nbytes, ref):
-        self._system = system
-        self._src_index = src_index
-        self._src_slot = src_slot
-        self._dst_index = dst_index
-        self._dst_slot = dst_slot
-        self._nbytes = nbytes
-        self._ref = ref
-        FastChain.__init__(self, system.sim)
-
-    def _step(self, stage):
-        system = self._system
-        if stage == 0:
-            return system.islands[self._src_index].egress(
-                self._src_slot, self._nbytes, self._ref
-            )
-        if stage == 1:
-            return system.noc.transfer(
-                system.topology.island(self._src_index),
-                system.topology.island(self._dst_index),
-                self._nbytes,
-                self._ref,
-            )
-        if stage == 2:
-            return system.islands[self._dst_index].ingress(
-                self._dst_slot, self._nbytes, self._ref
-            )
-        self.event.succeed(self._nbytes)
-        return None
-
-
 class SystemModel:
     """A fully wired accelerator-rich system ready to execute tiles."""
 
@@ -351,6 +245,17 @@ class SystemModel:
         if self.fault_injector is not None:
             self._arm_abb_failures()
 
+        # Data paths.  ``run.ctx`` starts with the mesh source and
+        # destination nodes; then come ``(stream_id, island, slot)``
+        # from memory, ``(island, slot, stream_id)`` to memory and
+        # ``(island, slot, dst_island, dst_slot)`` across islands.
+        mesh = (HOOK, self._mesh, None)
+        egress = (HOOK, self._egress, None)
+        ingress = (HOOK, self._ingress, None)
+        self._from_memory = ((HOOK, self._dram_read, None), mesh, ingress)
+        self._to_memory = (egress, mesh, (HOOK, self._dram_write, None))
+        self._across = (egress, mesh, ingress)
+
         for island in self.islands:
             self.energy.add_static_power(island.static_power_mw)
         self.energy.add_static_power(
@@ -394,6 +299,21 @@ class SystemModel:
         index = stream_id % self.config.n_memory_controllers
         return self.topology.memory_controller(index)
 
+    def _dram_read(self, run: Pipeline) -> typing.Union[float, Event]:
+        return self.memory.access_leg(run.nbytes, run.ctx[2], run.ref)
+
+    def _dram_write(self, run: Pipeline) -> typing.Union[float, Event]:
+        return self.memory.access_leg(run.nbytes, run.ctx[-1], run.ref)
+
+    def _mesh(self, run: Pipeline) -> Event:
+        return self.noc.transfer(run.ctx[0], run.ctx[1], run.nbytes, run.ref)
+
+    def _egress(self, run: Pipeline) -> Event:
+        return self.islands[run.ctx[2]].egress(run.ctx[3], run.nbytes, run.ref)
+
+    def _ingress(self, run: Pipeline) -> Event:
+        return self.islands[run.ctx[-2]].ingress(run.ctx[-1], run.nbytes, run.ref)
+
     def memory_to_island(
         self,
         island_index: int,
@@ -403,9 +323,14 @@ class SystemModel:
         ref: str = "",
     ) -> Event:
         """DRAM read -> mesh -> island ingress -> SPM."""
-        return _MemToIslandChain(
-            self, island_index, slot, nbytes, stream_id, ref
-        ).event
+        ctx = (
+            self._mc_node(stream_id),
+            self.topology.island(island_index),
+            stream_id,
+            island_index,
+            slot,
+        )
+        return Pipeline(self.sim, self._from_memory, nbytes, ref, ctx).event
 
     def island_to_memory(
         self,
@@ -416,9 +341,14 @@ class SystemModel:
         ref: str = "",
     ) -> Event:
         """SPM -> island egress -> mesh -> DRAM write."""
-        return _IslandToMemChain(
-            self, island_index, slot, nbytes, stream_id, ref
-        ).event
+        ctx = (
+            self.topology.island(island_index),
+            self._mc_node(stream_id),
+            island_index,
+            slot,
+            stream_id,
+        )
+        return Pipeline(self.sim, self._to_memory, nbytes, ref, ctx).event
 
     def island_to_island(
         self,
@@ -434,9 +364,16 @@ class SystemModel:
             return self.islands[src_index].chain_local(
                 src_slot, dst_slot, nbytes, ref
             )
-        return _IslandToIslandChain(
-            self, src_index, src_slot, dst_index, dst_slot, nbytes, ref
-        ).event
+        topology = self.topology
+        ctx = (
+            topology.island(src_index),
+            topology.island(dst_index),
+            src_index,
+            src_slot,
+            dst_index,
+            dst_slot,
+        )
+        return Pipeline(self.sim, self._across, nbytes, ref, ctx).event
 
     # -------------------------------------------------------------- metrics
     @property

@@ -1,18 +1,31 @@
 """Tests for the kernel fast paths added by the engine hot-path work.
 
 Covers the analytic bandwidth-server shortcut (and its fall-back to the
-exact queued model under contention), AllOf edge cases around triggered
-and duplicated children, Store get-before-put determinism, non-finite
-time rejection in every scheduling entry point, the pooled-timeout
-recycle path, and the lazy span materialization of the tracer.
+exact queued model under contention), the stage interpreter that runs
+every data path, AllOf edge cases around triggered and duplicated
+children, Store get-before-put determinism, non-finite time rejection
+in every scheduling entry point, the pooled-timeout recycle path, and
+the lazy span materialization of the tracer.
 """
 
 import pytest
 
-from repro.engine import AllOf, BandwidthServer, Event, Simulator, Store
+from repro.engine import (
+    DELAY,
+    DMA,
+    HOOK,
+    LEG,
+    AllOf,
+    BandwidthServer,
+    Event,
+    Pipeline,
+    Simulator,
+    Store,
+)
 from repro.engine.event import PooledTimeout
 from repro.engine.trace import TraceRecord, Tracer
 from repro.errors import ConfigError, SimulationError
+from repro.faults import DMA_DROP, DMA_STALL, FaultInjector, parse_fault_spec
 
 
 class TestTransferAnalytic:
@@ -92,6 +105,143 @@ class TestTransferAnalytic:
         server = BandwidthServer(sim, 4.0)
         with pytest.raises(ConfigError):
             server.transfer_analytic(-1.0)
+
+
+class TestPipeline:
+    """The stage interpreter against the equivalent generator process."""
+
+    SIZES = [(0.0, 96.0), (0.0, 40.0), (3.0, 200.0), (3.0, 8.0), (20.0, 64.0)] * 4
+
+    def platform(self):
+        sim = Simulator()
+        leg = BandwidthServer(sim, 8.0, latency=2.0)
+        dma = BandwidthServer(sim, 4.0, latency=1.0)
+        injector = FaultInjector(parse_fault_spec("dma:0.3,dmadrop:0.3"), seed=3)
+        return sim, leg, dma, injector
+
+    def run_pipelines(self):
+        sim, leg, dma, injector = self.platform()
+        log = []
+
+        def book(run):
+            log.append(("book", run.ref, sim.now))
+
+        stages = (
+            (LEG, leg, None),
+            (DELAY, 5.0, None),
+            (DMA, (dma, injector, 0), None),
+            (HOOK, book, None),
+            (HOOK, lambda run: sim.timeout(2.0), None),
+        )
+
+        def issue(ref, nbytes):
+            run = Pipeline(sim, stages, nbytes, ref)
+            run.event.add_callback(lambda e: log.append(("done", ref, sim.now, e.value)))
+
+        for i, (at, nbytes) in enumerate(self.SIZES):
+            sim.timeout(at).add_callback(lambda e, i=i, n=nbytes: issue(f"r{i}", n))
+        sim.run()
+        return log, sim._seq, injector.stats
+
+    def run_processes(self):
+        sim, leg, dma, injector = self.platform()
+        log = []
+        spec = injector.spec
+
+        def body(ref, nbytes):
+            yield leg.transfer(nbytes)
+            yield sim.delay(5.0)
+            attempt = 0
+            while True:
+                outcome = injector.dma_outcome(0)
+                if outcome == DMA_STALL:
+                    injector.stats.dma_stalls += 1
+                    yield sim.delay(spec.dma_stall_cycles)
+                elif outcome == DMA_DROP:
+                    if attempt < spec.dma_max_retries:
+                        injector.stats.dma_retries += 1
+                        yield sim.delay(injector.dma_retry_delay(attempt))
+                        attempt += 1
+                        continue
+                    injector.stats.dma_forced_recoveries += 1
+                yield dma.transfer(nbytes)
+                break
+            log.append(("book", ref, sim.now))
+            yield sim.timeout(2.0)
+            return nbytes
+
+        def issue(ref, nbytes):
+            proc = sim.process(body(ref, nbytes))
+            proc.add_callback(lambda e: log.append(("done", ref, sim.now, e.value)))
+
+        for i, (at, nbytes) in enumerate(self.SIZES):
+            sim.timeout(at).add_callback(lambda e, i=i, n=nbytes: issue(f"r{i}", n))
+        sim.run()
+        return log, sim._seq, injector.stats
+
+    def test_mixed_pipeline_matches_generator_process(self):
+        """Leg, delay, faulty DMA and hooks: same times, same heap entries."""
+        log, entries, stats = self.run_pipelines()
+        expected_log, expected_entries, expected_stats = self.run_processes()
+        assert stats.dma_stalls and stats.dma_retries  # the fault model ran
+        assert log == expected_log
+        assert entries == expected_entries
+        assert stats == expected_stats
+
+    def test_contended_leg_falls_back_to_exact_event(self):
+        sim = Simulator()
+        results = []
+
+        class Recording(BandwidthServer):
+            def transfer_analytic(self, nbytes):
+                result = super().transfer_analytic(nbytes)
+                results.append(result)
+                return result
+
+        server = Recording(sim, 4.0, latency=2.0)
+        done = []
+        for nbytes in (100.0, 60.0):
+            run = Pipeline(sim, ((LEG, server, None),), nbytes)
+            run.event.add_callback(lambda e: done.append(sim.now))
+        sim.run()
+        assert [r.__class__ for r in results] == [float, Event]
+        # Exactly the queued model's completion times.
+        assert done == [100.0 / 4.0 + 2.0, 100.0 / 4.0 + 60.0 / 4.0 + 2.0]
+
+    def test_stage_span_recorded_when_wait_ends(self):
+        sim = Simulator()
+        tracer = Tracer()
+        server = BandwidthServer(sim, 4.0, latency=2.0)
+        stages = (
+            (DELAY, 3.0, None),
+            (LEG, server, (tracer, "island0.dma", "dma")),
+        )
+        Pipeline(sim, stages, 64.0, "t0.a")
+        sim.run()
+        assert tracer.records == [
+            TraceRecord(3.0, 3.0 + 64.0 / 4.0 + 2.0, "island0.dma", "dma", "64B", "t0.a")
+        ]
+
+
+class TestTracerSpan:
+    def test_span_equals_record(self):
+        """Hot-path spans materialize exactly as record() spans do."""
+        fast, slow = Tracer(), Tracer()
+        fast.span(0.0, 4.0, "mc0", "mem", 64.0, "t1.a")
+        fast.span(1.0, 2.0, ("mesh.{},{}->{},{}", 0, 1, 2, 3), "noc", ("{:g}B/{}h", 48.0, 4))
+        fast.span(2.0, 5.0, "island0.slot1", "compute", "t1.a", "t1.a", {"invocations": 3})
+        slow.record(0.0, 4.0, "mc0", "mem", "64B", "t1.a")
+        slow.record(1.0, 2.0, "mesh.0,1->2,3", "noc", "48B/4h")
+        slow.record(2.0, 5.0, "island0.slot1", "compute", "t1.a", "t1.a", {"invocations": 3})
+        assert fast.records == slow.records
+        assert fast._raw_spans() == slow._raw_spans()
+
+    def test_names_formatted_once(self):
+        tracer = Tracer()
+        label = tracer.name(64.0)
+        assert label == "64B"
+        assert tracer.name(64.0) is label
+        assert tracer.name(("island{}.slot{}", 2, 7)) == "island2.slot7"
 
 
 class TestAllOfEdgeCases:

@@ -175,6 +175,25 @@ class TestBandwidthServer:
         with pytest.raises(ConfigError):
             link.transfer(-5)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
+    @pytest.mark.parametrize("entry", ["reserve", "transfer", "transfer_analytic"])
+    def test_non_finite_size_rejected_before_accounting(self, entry, bad):
+        sim = Simulator()
+        link = BandwidthServer(sim, bytes_per_cycle=4.0, latency=1.0)
+        link.transfer(40)  # some state to keep intact
+        before = (
+            link._free_at, link.busy_cycles, link.total_bytes,
+            link.total_transfers, link.last_done,
+        )
+        with pytest.raises(ConfigError, match="finite and non-negative"):
+            getattr(link, entry)(bad)
+        after = (
+            link._free_at, link.busy_cycles, link.total_bytes,
+            link.total_transfers, link.last_done,
+        )
+        assert after == before
+        assert len(sim._heap) == 1  # only the valid transfer is scheduled
+
     def test_backlog_reflects_queued_work(self):
         sim = Simulator()
         link = BandwidthServer(sim, bytes_per_cycle=1.0)

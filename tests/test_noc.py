@@ -132,6 +132,26 @@ class TestMeshNoC:
         with pytest.raises(ConfigError):
             noc.transfer(topo.island(0), topo.island(1), -1)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_size_rejected_before_accounting(self, bad):
+        sim, topo, noc = self.make()
+        src, dst = topo.island(0), topo.memory_controller(0)
+        self.run_event(sim, noc.transfer(src, dst, 100))
+        before = (
+            noc.total_transfers, noc.total_byte_hops,
+            dict(noc.energy.dynamic_nj), len(noc._links),
+            [(link.busy_cycles, link.total_bytes) for link in noc._links.values()],
+        )
+        with pytest.raises(ConfigError, match="finite and non-negative"):
+            noc.transfer(src, dst, bad)
+        after = (
+            noc.total_transfers, noc.total_byte_hops,
+            dict(noc.energy.dynamic_nj), len(noc._links),
+            [(link.busy_cycles, link.total_bytes) for link in noc._links.values()],
+        )
+        assert after == before
+        assert not sim._heap
+
     @given(st.integers(1, 20), st.integers(1, 20))
     def test_route_always_reaches_destination(self, i, j):
         topo = MeshTopology(n_islands=24)

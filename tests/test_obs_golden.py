@@ -12,37 +12,33 @@ from dataclasses import replace
 import pytest
 
 from repro.engine.trace import Tracer
-from repro.island import NetworkKind, SpmDmaNetworkConfig
 from repro.serve import ArrivalConfig, ServeConfig, make_tenants, run_serve
 from repro.sim import SystemConfig, run_workload
 from repro.sim.serialize import result_to_dict
 from repro.workloads import denoise, get_workload
+from tests.test_golden import DMA_FAULT_GOLDEN, GOLDEN, golden_config
 
-GOLDEN = {
-    ("Denoise", "xbar"): (27292.04666666668, 1193246.7626134404),
-    ("Denoise", "ring"): (26880.30130081302, 1177464.430365832),
-    ("EKF-SLAM", "xbar"): (6599.813333333335, 286974.78352377407),
-    ("EKF-SLAM", "ring"): (4461.926991869917, 195194.66702147876),
-}
-
-NETWORKS = {
-    "xbar": SpmDmaNetworkConfig(),
-    "ring": SpmDmaNetworkConfig(NetworkKind.RING, 32, 2),
-}
+#: Every pinned configuration, the DMA-faulted ones included.
+CONFIGS = [
+    pytest.param(name, net, False, id=f"{name}-{net}") for name, net in sorted(GOLDEN)
+] + [
+    pytest.param(name, net, True, id=f"{name}-{net}-dmafaults")
+    for name, net in sorted(DMA_FAULT_GOLDEN)
+]
 
 
 @pytest.mark.parametrize("name,net", sorted(GOLDEN))
 def test_traced_run_matches_golden(name, net):
-    config = SystemConfig(n_islands=3, network=NETWORKS[net])
+    config = golden_config(net)
     result = run_workload(config, get_workload(name, tiles=4), tracer=Tracer())
     cycles, energy = GOLDEN[(name, net)]
     assert result.total_cycles == pytest.approx(cycles, rel=1e-12)
     assert result.energy_nj == pytest.approx(energy, rel=1e-12)
 
 
-@pytest.mark.parametrize("name,net", sorted(GOLDEN))
-def test_traced_equals_untraced(name, net):
-    config = SystemConfig(n_islands=3, network=NETWORKS[net])
+@pytest.mark.parametrize("name,net,dma_faults", CONFIGS)
+def test_traced_equals_untraced(name, net, dma_faults):
+    config = golden_config(net, dma_faults)
     base = run_workload(config, get_workload(name, tiles=4))
     traced = run_workload(config, get_workload(name, tiles=4), tracer=Tracer())
     # Identical in every field except the attribution the tracer adds.

@@ -40,29 +40,28 @@ class ABBInstance:
         """Whether the ABC may allocate this block."""
         return self.state is ABBState.IDLE
 
+    def require_state(self, state: ABBState, action: str) -> None:
+        """Raise unless the block is in ``state``, the precondition of
+        ``action`` ("reserved", "started", "finished")."""
+        if self.state is not state:
+            raise SimulationError(
+                f"ABB {self.abb_id} {action} while {self.state.value}"
+            )
+
     def reserve(self, now: float) -> None:
         """ABC claims the block for a task (operands may still be loading)."""
-        if self.state is not ABBState.IDLE:
-            raise SimulationError(
-                f"ABB {self.abb_id} reserved while {self.state.value}"
-            )
+        self.require_state(ABBState.IDLE, "reserved")
         self.state = ABBState.RESERVED
         self._busy_since = now
 
     def start_compute(self) -> None:
         """Operands are resident; the pipeline starts streaming."""
-        if self.state is not ABBState.RESERVED:
-            raise SimulationError(
-                f"ABB {self.abb_id} started while {self.state.value}"
-            )
+        self.require_state(ABBState.RESERVED, "started")
         self.state = ABBState.COMPUTING
 
     def finish(self, now: float, invocations: int) -> None:
         """Task completed; block returns to the free pool."""
-        if self.state is not ABBState.COMPUTING:
-            raise SimulationError(
-                f"ABB {self.abb_id} finished while {self.state.value}"
-            )
+        self.require_state(ABBState.COMPUTING, "finished")
         self.state = ABBState.IDLE
         self.busy_cycles += now - self._busy_since
         self.total_invocations += invocations

@@ -81,6 +81,8 @@ class AcceleratorBlockComposer:
         self.islands = list(islands)
         self.policy = policy
         self._waiters: collections.deque[_Waiter] = collections.deque()
+        # Queued waiters per type, kept in step with `_waiters`.
+        self._queued: dict[str, int] = {}
         self._serial = 0
         # Request-path caches: island ABB mixes are fixed at
         # construction, so type existence never changes; and until the
@@ -165,78 +167,89 @@ class AcceleratorBlockComposer:
             self._waiters.append(
                 _Waiter(event, type_name, preferred_island, self.sim.now)
             )
+            self._queued[type_name] = self._queued.get(type_name, 0) + 1
         return event
 
     def release(self, grant: Grant, invocations: int) -> None:
         """Return a granted slot; retries queued waiters in FIFO order."""
         if not 0 <= grant.island_index < len(self.islands):
             raise ConfigError(f"island index {grant.island_index} out of range")
-        self.service_cycles.record(self.sim.now - grant.granted_at)
+        # The island validates before it mutates; recording afterwards
+        # keeps a rejected release (e.g. a double release) out of the
+        # service-time statistics too.
         self.islands[grant.island_index].release(
             grant.slot, grant._token, invocations
         )
+        self.service_cycles.record(self.sim.now - grant.granted_at)
         self._drain_waiters()
 
     def _drain_waiters(self) -> None:
-        # Retry every waiter in FIFO order until a full pass grants
-        # nothing (a release can free neighbours too, under SPM sharing,
-        # so one release may unblock several waiters).
+        # Retry waiters in FIFO order until a pass grants nothing (a
+        # release can free neighbours too, under SPM sharing, so one
+        # release may unblock several waiters).
         #
-        # Per-type free counts gate the scan: a waiter whose type has no
-        # free slot left this pass is requeued with a cheap dict lookup
-        # instead of a full policy + slot-scan `_try_allocate` call.
-        # Under the open-loop serving frontend the wait queue can hold
-        # thousands of requests, and the ungated scan made every release
-        # O(waiters x slots) — this is the difference between serving
-        # sessions draining in seconds versus minutes.  `_serial` is
-        # still bumped on gated skips so allocation decisions (which may
-        # consume the serial, e.g. round_robin) are bit-identical to the
-        # ungated scan's.
+        # Each pass first bounds, per queued type, how many waiters it
+        # can serve: all of them when the type has no operational slot
+        # left (software fallback), else at most its free-slot count.
+        # The scan then stops as soon as nothing servable is left
+        # unscanned; the unscanned suffix keeps its order.  A waiter
+        # that cannot be served consumes one allocation serial whether
+        # it is skipped or its `_try_allocate` fails, so the suffix
+        # advances `_serial` by its length and every decision (which may
+        # read the serial, e.g. round_robin) matches a full rescan.  A
+        # bound only overestimates (grants never free slots mid-pass);
+        # an overestimate costs one failing `_try_allocate`, which zeroes
+        # it.  A pass that can serve nothing costs O(types).
+        waiters = self._waiters
+        queued = self._queued
         progress = True
-        while progress and self._waiters:
+        while progress and waiters:
             progress = False
-            free_count: dict[str, int] = {}
-            operational: dict[str, bool] = {}
-            remaining: collections.deque[_Waiter] = collections.deque()
-            while self._waiters:
-                waiter = self._waiters.popleft()
+            servable = 0
+            bound: dict[str, int] = {}
+            fallback: set[str] = set()
+            for type_name, count in queued.items():
+                if not count:
+                    continue
+                if not self._type_operational(type_name):
+                    fallback.add(type_name)
+                    bound[type_name] = count
+                else:
+                    bound[type_name] = min(count, self.free_count(type_name))
+                servable += bound[type_name]
+            requeued: collections.deque[_Waiter] = collections.deque()
+            while servable:
+                waiter = waiters.popleft()
                 type_name = waiter.type_name
-                if type_name not in operational:
-                    operational[type_name] = self._type_operational(type_name)
-                if not operational[type_name]:
+                if not bound[type_name]:
+                    self._serial += 1
+                    requeued.append(waiter)
+                    continue
+                if type_name in fallback:
                     # Every slot of this type hard-failed while the
                     # request was queued; resolve it to software rather
                     # than strand it forever.
-                    progress = True
+                    resolution: object = SOFTWARE_FALLBACK
                     self.fallback_grants += 1
-                    waiter.event.succeed(SOFTWARE_FALLBACK)
-                    continue
-                if type_name not in free_count:
-                    free_count[type_name] = self.free_count(type_name)
-                if free_count[type_name] <= 0:
-                    # No slot can serve this waiter; skip the policy
-                    # call but consume its serial so decisions match
-                    # the ungated scan exactly.
-                    self._serial += 1
-                    remaining.append(waiter)
-                    continue
-                grant = self._try_allocate(type_name, waiter.preferred)
-                if grant is None:
-                    # SPM-sharing port conflicts can shrink free slots
-                    # mid-pass; treat the stale count as exhausted.
-                    free_count[type_name] = 0
-                    remaining.append(waiter)
                 else:
-                    # A cached count can only overestimate after this
-                    # grant (allocation never frees slots mid-pass), and
-                    # an overestimate merely costs one corrective
-                    # `_try_allocate`, so other types' counts stay.
-                    free_count[type_name] -= 1
-                    progress = True
+                    grant = self._try_allocate(type_name, waiter.preferred)
+                    if grant is None:
+                        # SPM-sharing lockout shrank the free slots
+                        # mid-pass: the bound was stale.
+                        servable -= bound[type_name]
+                        bound[type_name] = 0
+                        requeued.append(waiter)
+                        continue
+                    resolution = grant
                     self.total_grants += 1
                     self.wait_cycles.record(self.sim.now - waiter.requested_at)
-                    waiter.event.succeed(grant)
-            self._waiters = remaining
+                progress = True
+                bound[type_name] -= 1
+                servable -= 1
+                queued[type_name] -= 1
+                waiter.event.succeed(resolution)
+            self._serial += len(waiters)
+            waiters.extendleft(reversed(requeued))
 
     def on_slot_failed(self, type_name: str) -> None:
         """React to an ABB hard failure reported by the fault layer.
@@ -263,8 +276,8 @@ class AcceleratorBlockComposer:
         return sum(len(i.operational_slots(type_name)) for i in self.islands)
 
     def pending_requests(self, type_name: str) -> int:
-        """Queued allocation requests for one type."""
-        return sum(1 for w in self._waiters if w.type_name == type_name)
+        """Queued allocation requests for one type (O(1), maintained)."""
+        return self._queued.get(type_name, 0)
 
     def estimate_wait(
         self, type_name: str, service_hint: typing.Optional[float] = None

@@ -51,11 +51,11 @@ class Event:
             raise SimulationError("event already triggered")
         self._scheduled = True
         self.value = value
-        # Push directly instead of going through Simulator._schedule:
-        # "now" trivially passes _schedule's time validation, and
-        # succeed() runs once per non-timeout event in a simulation.
+        # Append to the same-time lane directly instead of going through
+        # Simulator._schedule: "now" trivially passes its validation,
+        # and succeed() runs once per non-timeout event in a simulation.
         sim = self.sim
-        heappush(sim._heap, (sim.now, sim._seq, self._fire))
+        sim._lane.append(self._fire)
         sim._seq += 1
         return self
 
@@ -99,9 +99,9 @@ class Timeout(Event):
                 f"timeout delay must be finite and non-negative, got {delay!r}"
             )
         # Timeouts are allocated by the million; initializing the Event
-        # slots inline skips the super().__init__ call, and the direct
-        # heap push skips Simulator._schedule — its validation reduces
-        # to rejecting overflow to +inf, since delay is already checked
+        # slots inline skips the super().__init__ call, and scheduling
+        # inline skips Simulator._schedule — its validation reduces to
+        # rejecting overflow to +inf, since delay is already checked
         # and ``now`` is finite.
         self.sim = sim
         self.value = value
@@ -115,7 +115,10 @@ class Timeout(Event):
                 f"cannot schedule at {time!r} (now={sim.now}): "
                 "times must be finite and not in the past"
             )
-        heappush(sim._heap, (time, sim._seq, self._fire))
+        if time == sim.now:
+            sim._lane.append(self._fire)
+        else:
+            heappush(sim._heap, (time, sim._seq, self._fire))
         sim._seq += 1
 
 

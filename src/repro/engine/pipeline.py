@@ -32,11 +32,11 @@ is active, so an untraced, fault-free run does neither.
 Every wait follows one protocol: a **float** is a completion time known
 in closed form, for which the pipeline schedules its own wake-up; an
 **Event** is the exact model's, and the pipeline resumes from its
-callback.  Either way a wait is one heap entry at the same time, so a
-path runs bit-identically whichever of its legs the analytic shortcut
-answers.  With the kick at construction and the final ``succeed``, a
-run schedules exactly the entries of the generator process that
-would spell the same path out with one ``yield`` per wait.
+callback.  Either way a wait is one scheduled entry at the same time,
+so a path runs bit-identically whichever of its legs the analytic
+shortcut answers.  With the kick at construction and the final
+``succeed``, a run schedules exactly the entries of the generator
+process that would spell the same path out with one ``yield`` per wait.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ def as_event(
 ) -> Event:
     """The Event form of a wait: ``result`` itself if it is an Event,
     else a new event firing with ``value`` at the float time ``result``
-    (one heap entry, exactly as the exact queued model schedules)."""
+    (one scheduled entry, exactly as the exact queued model schedules)."""
     if result.__class__ is not float:
         return result
     event = Event(sim)
@@ -76,8 +76,8 @@ class Pipeline:
 
     ``ctx`` carries the path's per-run parameters (slots, stream ids)
     for its hooks.  ``start`` is when the first stage starts: None for
-    the kick (now, but through the heap, so issue order cannot perturb
-    same-time event ordering), or a float time or Event to wait for.
+    the kick (now, but through the same-time lane, so issue order cannot
+    perturb same-time event ordering), or a float time or Event to wait for.
     """
 
     __slots__ = (
@@ -106,7 +106,8 @@ class Pipeline:
         self._attempt: typing.Optional[int] = None
         advance = self._advance_cb = self._advance
         if start is None:
-            sim._schedule(sim.now, advance)
+            sim._lane.append(advance)
+            sim._seq += 1
         elif start.__class__ is float:
             sim._schedule(start, advance)
         else:

@@ -40,7 +40,8 @@ class Process(Event):
         sim._processes += 1
         # Kick the body off at the current time (not synchronously) so that
         # spawning order does not depend on the caller's position in a step.
-        sim._schedule(sim.now, resume)
+        sim._lane.append(resume)
+        sim._seq += 1
 
     def _resume(
         self,

@@ -145,7 +145,7 @@ class BandwidthServer:
 
         The server's one accounting site: FIFO queueing behind
         ``_free_at``, busy time, bytes and the transfer count.  It
-        schedules nothing; :meth:`transfer` adds the one heap entry,
+        schedules nothing; :meth:`transfer` adds the one scheduled entry,
         and pipelines schedule their own wake-up at the returned time.
         A negative, NaN or infinite size is rejected before any
         accounting, so a bad transfer cannot leave the server's
@@ -176,7 +176,7 @@ class BandwidthServer:
 
         When the channel is idle at issue time the completion time is
         known in closed form and returned directly — no event object,
-        no heap entry.  The moment a second requester overlaps
+        no scheduled entry.  The moment a second requester overlaps
         (``_free_at`` is still in the future) this defers to
         :meth:`transfer`, the exact queued model; both paths run the
         same :meth:`reserve` accounting, so completion times are

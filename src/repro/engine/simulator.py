@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import typing
+from collections import deque
 from heapq import heappop, heappush
 
 from repro.engine.event import Event, PooledTimeout, Timeout
@@ -12,19 +13,29 @@ _INF = float("inf")
 
 
 class Simulator:
-    """Owns simulation time and the pending-event heap.
+    """Owns simulation time and the pending entries.
 
     Time is a float measured in cycles of the accelerator/uncore clock.
-    Entries at equal times execute in insertion order (a monotonically
-    increasing sequence number breaks ties), which makes runs fully
-    deterministic.
+    Entries execute in ``(time, sequence number)`` order: equal times
+    run in insertion order, which makes runs fully deterministic.
+
+    Future entries wait in a heap of ``(time, seq, callback)`` tuples.
+    Entries due at exactly ``now`` (kicks, ``succeed()`` and zero
+    delays, the majority) go to the *same-time lane*, a FIFO of
+    callbacks, at the cost of a deque append instead of a heap push.
+    The two keep one total order: an entry is pushed on the heap only
+    while the clock is before its time, so every heap entry due at
+    ``now`` was scheduled before every lane entry and runs first.
+    ``_seq`` still counts every entry, lane included, as the number of
+    entries scheduled so far.
     """
 
-    __slots__ = ("now", "_heap", "_seq", "_processes", "_timeout_pool")
+    __slots__ = ("now", "_heap", "_lane", "_seq", "_processes", "_timeout_pool")
 
     def __init__(self) -> None:
         self.now: float = 0.0
         self._heap: list[tuple[float, int, typing.Callable[[], None]]] = []
+        self._lane: deque[typing.Callable[[], None]] = deque()
         self._seq = 0
         self._processes: int = 0  # live processes, for deadlock detection
         # Recycled PooledTimeout instances (see Simulator.delay).
@@ -38,7 +49,10 @@ class Simulator:
                 f"cannot schedule at {time!r} (now={self.now}): "
                 "times must be finite and not in the past"
             )
-        heappush(self._heap, (time, self._seq, callback))
+        if time == self.now:
+            self._lane.append(callback)
+        else:
+            heappush(self._heap, (time, self._seq, callback))
         self._seq += 1
 
     def event(self) -> Event:
@@ -80,7 +94,10 @@ class Simulator:
                 f"cannot schedule at {time!r} (now={self.now}): "
                 "times must be finite and not in the past"
             )
-        heappush(self._heap, (time, self._seq, recycled._fire_cb))
+        if time == self.now:
+            self._lane.append(recycled._fire_cb)
+        else:
+            heappush(self._heap, (time, self._seq, recycled._fire_cb))
         self._seq += 1
         return recycled
 
@@ -95,30 +112,37 @@ class Simulator:
 
         Returns the final simulation time.
 
-        The event loop is the hottest code in any simulation, so both
-        branches pop entries directly (one heap operation per event);
-        the deadline branch pushes the single overshooting entry back
-        rather than peeking before every pop.
+        The event loop is the hottest code in any simulation.  Each
+        step drains the same-time lane, then advances the clock to the
+        next heap entry and runs every heap entry due at that time
+        (none can be added meanwhile: entries for ``now`` go to the
+        lane) before the lane entries they schedule.
         """
+        if until is not None and until < self.now:
+            raise SimulationError(
+                f"cannot run until {until!r}: the clock is already at {self.now}"
+            )
+        limit = _INF if until is None else until
         heap = self._heap
+        lane = self._lane
         pop = heappop
-        if until is None:
-            while heap:
-                time, _seq, callback = pop(heap)
-                self.now = time
-                callback()
-            return self.now
-        while heap:
-            entry = pop(heap)
-            time = entry[0]
-            if time > until:
-                heappush(heap, entry)
-                self.now = until
-                return until
+        pop_lane = lane.popleft
+        while True:
+            while lane:
+                pop_lane()()
+            if not heap:
+                return self.now
+            time = heap[0][0]
+            if time > limit:
+                self.now = limit
+                return limit
             self.now = time
-            entry[2]()
-        return self.now
+            pop(heap)[2]()
+            while heap and heap[0][0] == time:
+                pop(heap)[2]()
 
     def peek(self) -> typing.Optional[float]:
         """Time of the next pending entry, or None if the queue is empty."""
+        if self._lane:
+            return self.now
         return self._heap[0][0] if self._heap else None

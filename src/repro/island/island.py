@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import typing
 
-from repro.abb.instance import ABBInstance
+from repro.abb.instance import ABBInstance, ABBState
 from repro.abb.library import ABBLibrary
 from repro.engine import (
     DMA,
@@ -128,6 +128,24 @@ class Island:
             self._slots_by_type.setdefault(abb.abb_type.name, []).append(index)
         self._slot_count = len(self.abbs)
         self._busy_slots = 0
+        # The neighbours whose banks a slot borrows while allocated
+        # (Sec. 5.1): its physical neighbours with SPM sharing, none
+        # without.
+        self._neighbors = [
+            tuple(n for n in (slot - 1, slot + 1) if 0 <= n < self._slot_count)
+            if config.spm_sharing
+            else ()
+            for slot in range(self._slot_count)
+        ]
+        # The usable-slot index: per type, the ascending tuple of slots
+        # `slot_usable` accepts.  Usability only changes in allocate,
+        # release and fail_slot, which re-derive it for the slots they
+        # touch (`_reindex`), so a free-slot query costs a dict lookup
+        # instead of one predicate call per slot of the type.
+        self._usable: dict[str, tuple[int, ...]] = {
+            type_name: tuple(s for s in slots if self.slot_usable(s))
+            for type_name, slots in self._slots_by_type.items()
+        }
         self.abb_tracker = UtilizationTracker(
             capacity=len(self.abbs), name=f"island{island_id}.abbs"
         )
@@ -187,9 +205,9 @@ class Island:
             return False
         return True
 
-    def free_slots(self, type_name: str) -> list[int]:
-        """Usable slots of a given ABB type."""
-        return [s for s in self.slots_of_type(type_name) if self.slot_usable(s)]
+    def free_slots(self, type_name: str) -> tuple[int, ...]:
+        """Usable slots of a given ABB type, ascending (O(1), maintained)."""
+        return self._usable.get(type_name, ())
 
     def operational_slots(self, type_name: str) -> list[int]:
         """Non-failed slots of a type (free *or* busy).
@@ -220,22 +238,33 @@ class Island:
             )
         self.abbs[slot].reserve(self.sim.now)
         self.spm_groups[slot].acquire(owner)
-        if self.config.spm_sharing:
-            for neighbor in self._neighbors(slot):
-                self._neighbor_locks[neighbor] += 1
+        neighbors = self._neighbors[slot]
+        for neighbor in neighbors:
+            self._neighbor_locks[neighbor] += 1
+        self._reindex((slot,) + neighbors)
         self._busy_slots += 1
         self.abb_tracker.adjust(+1, self.sim.now)
 
     def release(self, slot: int, owner: object, invocations: int) -> None:
-        """Return a slot to the pool after its task completes."""
+        """Return a slot to the pool after its task completes.
+
+        Every check runs before anything changes, so a bad release
+        (wrong owner, a block that is not computing) raises and leaves
+        the slot, its SPM group and the usable-slot index as they were.
+        """
         self._check_slot(slot)
-        self.abbs[slot].finish(self.sim.now, invocations)
-        self.spm_groups[slot].release(owner)
-        if self.config.spm_sharing:
-            for neighbor in self._neighbors(slot):
-                if self._neighbor_locks[neighbor] <= 0:
-                    raise AllocationError("sharing lock underflow")
-                self._neighbor_locks[neighbor] -= 1
+        abb = self.abbs[slot]
+        group = self.spm_groups[slot]
+        abb.require_state(ABBState.COMPUTING, "finished")
+        group.require_owner(owner)
+        neighbors = self._neighbors[slot]
+        if any(self._neighbor_locks[n] <= 0 for n in neighbors):
+            raise AllocationError("sharing lock underflow")
+        abb.finish(self.sim.now, invocations)
+        group.release(owner)
+        for neighbor in neighbors:
+            self._neighbor_locks[neighbor] -= 1
+        self._reindex((slot,) + neighbors)
         self._busy_slots -= 1
         self.abb_tracker.adjust(-1, self.sim.now)
 
@@ -253,10 +282,21 @@ class Island:
                 f"island {self.island_id}: slot {slot} already failed"
             )
         self._failed[slot] = True
+        self._reindex((slot,))
         return self.abbs[slot].abb_type.name
 
-    def _neighbors(self, slot: int) -> list[int]:
-        return [n for n in (slot - 1, slot + 1) if 0 <= n < len(self.abbs)]
+    def _reindex(self, slots: tuple[int, ...]) -> None:
+        """Re-derive the usable-slot index entries of ``slots`` (the only
+        slots whose usability the caller just changed)."""
+        usable = self._usable
+        for slot in slots:
+            type_name = self.abbs[slot].abb_type.name
+            current = usable[type_name]
+            if self.slot_usable(slot):
+                if slot not in current:
+                    usable[type_name] = tuple(sorted(current + (slot,)))
+            elif slot in current:
+                usable[type_name] = tuple(s for s in current if s != slot)
 
     def _check_slot(self, slot: int) -> None:
         if not 0 <= slot < len(self.abbs):

@@ -47,10 +47,14 @@ class SPMGroup:
             raise SimulationError("SPM group already owned")
         self._owner = owner
 
-    def release(self, owner: object) -> None:
-        """Release the group; must be the current owner."""
+    def require_owner(self, owner: object) -> None:
+        """Raise unless ``owner`` currently owns the group."""
         if self._owner is not owner:
             raise SimulationError("SPM group released by non-owner")
+
+    def release(self, owner: object) -> None:
+        """Release the group; must be the current owner."""
+        self.require_owner(owner)
         self._owner = None
 
     # --------------------------------------------------------------- timing

@@ -1,12 +1,17 @@
 """Tests for the Accelerator Block Composer."""
 
+import collections
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.abb import standard_library
 from repro.core import AcceleratorBlockComposer, first_fit, round_robin
 from repro.core.allocation import locality_then_load_balance
+from repro.core.composer import SOFTWARE_FALLBACK
 from repro.engine import Simulator
-from repro.errors import AllocationError, ConfigError
+from repro.errors import AllocationError, ConfigError, SimulationError
 from repro.island import Island, IslandConfig
 
 
@@ -223,3 +228,196 @@ class TestWaiterDrain:
         sim.run()
         assert abc.service_cycles.count == 2
         assert abc.service_cycles.mean == pytest.approx(60.0)
+
+
+class TestBadRelease:
+    def test_double_release_leaves_statistics_alone(self):
+        """A second release of one grant raises before any accounting
+        (it used to record a second service-time sample first)."""
+        sim, islands, abc = make_abc(n_islands=1, mix={"poly": 1})
+        grants = []
+        abc.request("poly").add_callback(lambda e: grants.append(e.value))
+        sim.run()
+        grant = grants[0]
+        islands[0].abbs[grant.slot].start_compute()
+        sim._schedule(30.0, lambda: None)
+        sim.run()
+        abc.release(grant, invocations=1)
+        before = (
+            abc.service_cycles.count, abc.service_cycles.mean,
+            islands[0].free_slots("poly"), islands[0].busy_fraction(),
+            islands[0].abbs[grant.slot].total_tasks,
+        )
+        with pytest.raises(SimulationError, match="finished while idle"):
+            abc.release(grant, invocations=1)
+        after = (
+            abc.service_cycles.count, abc.service_cycles.mean,
+            islands[0].free_slots("poly"), islands[0].busy_fraction(),
+            islands[0].abbs[grant.slot].total_tasks,
+        )
+        assert after == before
+        assert abc.service_cycles.count == 1
+
+
+class _ReferenceComposer(AcceleratorBlockComposer):
+    """The ABC with the full-rescan drain it had before per-type waiter
+    counts and the early-exit pass: `_drain_waiters` and
+    `pending_requests` below are verbatim copies of that code, kept as
+    the oracle the differential test compares against."""
+
+    def _drain_waiters(self) -> None:
+        # Retry every waiter in FIFO order until a full pass grants
+        # nothing (a release can free neighbours too, under SPM sharing,
+        # so one release may unblock several waiters).
+        #
+        # Per-type free counts gate the scan: a waiter whose type has no
+        # free slot left this pass is requeued with a cheap dict lookup
+        # instead of a full policy + slot-scan `_try_allocate` call.
+        # Under the open-loop serving frontend the wait queue can hold
+        # thousands of requests, and the ungated scan made every release
+        # O(waiters x slots) — this is the difference between serving
+        # sessions draining in seconds versus minutes.  `_serial` is
+        # still bumped on gated skips so allocation decisions (which may
+        # consume the serial, e.g. round_robin) are bit-identical to the
+        # ungated scan's.
+        progress = True
+        while progress and self._waiters:
+            progress = False
+            free_count: dict[str, int] = {}
+            operational: dict[str, bool] = {}
+            remaining: collections.deque = collections.deque()
+            while self._waiters:
+                waiter = self._waiters.popleft()
+                type_name = waiter.type_name
+                if type_name not in operational:
+                    operational[type_name] = self._type_operational(type_name)
+                if not operational[type_name]:
+                    # Every slot of this type hard-failed while the
+                    # request was queued; resolve it to software rather
+                    # than strand it forever.
+                    progress = True
+                    self.fallback_grants += 1
+                    waiter.event.succeed(SOFTWARE_FALLBACK)
+                    continue
+                if type_name not in free_count:
+                    free_count[type_name] = self.free_count(type_name)
+                if free_count[type_name] <= 0:
+                    # No slot can serve this waiter; skip the policy
+                    # call but consume its serial so decisions match
+                    # the ungated scan exactly.
+                    self._serial += 1
+                    remaining.append(waiter)
+                    continue
+                grant = self._try_allocate(type_name, waiter.preferred)
+                if grant is None:
+                    # SPM-sharing port conflicts can shrink free slots
+                    # mid-pass; treat the stale count as exhausted.
+                    free_count[type_name] = 0
+                    remaining.append(waiter)
+                else:
+                    # A cached count can only overestimate after this
+                    # grant (allocation never frees slots mid-pass), and
+                    # an overestimate merely costs one corrective
+                    # `_try_allocate`, so other types' counts stay.
+                    free_count[type_name] -= 1
+                    progress = True
+                    self.total_grants += 1
+                    self.wait_cycles.record(self.sim.now - waiter.requested_at)
+                    waiter.event.succeed(grant)
+            self._waiters = remaining
+
+    def pending_requests(self, type_name: str) -> int:
+        """Queued allocation requests for one type."""
+        return sum(1 for w in self._waiters if w.type_name == type_name)
+
+
+#: Two islands of this mix: each type has 1-4 slots platform-wide, so
+#: random fault sequences often fail the last slot of a type.
+DRAIN_MIX = {"poly": 2, "div": 1, "sum": 1}
+DRAIN_TYPES = sorted(DRAIN_MIX)
+
+drain_ops = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("request"),
+            st.sampled_from(DRAIN_TYPES),
+            st.sampled_from([None, 0, 1]),
+        ),
+        st.tuples(st.just("release"), st.integers(0, 7)),
+        st.tuples(st.just("fail"), st.integers(0, 1), st.integers(0, 3)),
+    ),
+    max_size=60,
+)
+
+
+def _drive(cls, policy, sharing, ops):
+    """Run one op sequence on a fresh 2-island ABC of class ``cls``;
+    returns which request got which resolution, in firing order, and
+    the observable state after every op."""
+    sim = Simulator()
+    lib = standard_library()
+    islands = [
+        Island(sim, i, IslandConfig(abb_mix=dict(DRAIN_MIX), spm_sharing=sharing), lib)
+        for i in range(2)
+    ]
+    abc = cls(sim, islands, policy)
+    resolutions = []
+    held = []
+
+    def on_resolve(request_id, event):
+        value = event.value
+        if value == SOFTWARE_FALLBACK:
+            resolutions.append((request_id, value))
+            return
+        resolutions.append((request_id, value.island_index, value.slot))
+        islands[value.island_index].abbs[value.slot].start_compute()
+        held.append(value)
+
+    trace = []
+    for index, op in enumerate(ops):
+        if op[0] == "request":
+            abc.request(op[1], op[2]).add_callback(
+                lambda event, request_id=index: on_resolve(request_id, event)
+            )
+        elif op[0] == "release":
+            if held:
+                abc.release(held.pop(op[1] % len(held)), invocations=1)
+        elif not islands[op[1]]._failed[op[2]]:
+            abc.on_slot_failed(islands[op[1]].fail_slot(op[2]))
+        sim.run()
+        trace.append((
+            len(resolutions), abc._serial, abc.queue_length(),
+            tuple(abc.pending_requests(t) for t in DRAIN_TYPES),
+        ))
+    return resolutions, trace, abc.total_grants, abc.fallback_grants
+
+
+class TestDrainMatchesFullRescan:
+    @pytest.mark.parametrize("sharing", [False, True])
+    @pytest.mark.parametrize(
+        "policy", [locality_then_load_balance, first_fit, round_robin]
+    )
+    @settings(max_examples=100, deadline=None)
+    @given(ops=drain_ops)
+    @example(ops=[
+        # Fill div and sum, queue div, sum, div; freeing a sum slot
+        # serves the queued sum and ends the pass early, and the queued
+        # divs must keep their order for the next div slot.
+        ("request", "div", None), ("request", "div", None),
+        ("request", "div", None), ("request", "sum", None),
+        ("request", "sum", None), ("request", "sum", None),
+        ("request", "div", None), ("release", 2), ("release", 0),
+    ])
+    @example(ops=[
+        ("request", "div", None), ("request", "div", None),
+        ("request", "div", 1), ("request", "poly", None),
+        ("fail", 0, 0), ("release", 0), ("fail", 1, 0), ("release", 0),
+    ])
+    def test_same_grants_fallbacks_serial_and_counts(self, policy, sharing, ops):
+        """Identical grants `(island, slot)` to the same requests,
+        SOFTWARE_FALLBACK resolutions, `_serial` and pending counts as
+        the full rescan, including when the last slot of a type fails
+        with waiters queued."""
+        assert _drive(AcceleratorBlockComposer, policy, sharing, ops) == _drive(
+            _ReferenceComposer, policy, sharing, ops
+        )

@@ -1,8 +1,12 @@
 """Unit tests for the event/timeout/simulator primitives."""
 
-import pytest
+from heapq import heappop, heappush
 
-from repro.engine import Event, Simulator, Timeout
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.engine import DELAY, Event, Pipeline, Simulator, Timeout
 from repro.errors import SimulationError
 
 
@@ -118,3 +122,159 @@ def test_hot_path_classes_are_slotted():
     ]
     for obj in instances:
         assert not hasattr(obj, "__dict__"), type(obj).__name__
+
+
+def test_run_until_before_now_rejected():
+    sim = Simulator()
+    sim.timeout(5.0)
+    sim.run()
+    with pytest.raises(SimulationError, match="already at"):
+        sim.run(until=4.0)
+
+
+class _HeapOnlySim:
+    """The reference order: every entry, same-time or not, is one
+    ``(time, seq, callback)`` heap entry, popped in order."""
+
+    def __init__(self) -> None:
+        self.now = 0.0
+        self.heap: list = []
+        self.seq = 0
+
+    def schedule(self, time: float, callback) -> None:
+        heappush(self.heap, (time, self.seq, callback))
+        self.seq += 1
+
+    def peek(self):
+        return self.heap[0][0] if self.heap else None
+
+    def run(self, until=None) -> float:
+        while self.heap:
+            if until is not None and self.heap[0][0] > until:
+                self.now = until
+                return until
+            time, _seq, callback = heappop(self.heap)
+            self.now = time
+            callback()
+        return self.now
+
+
+#: How a node schedules a child: a kind and a delay (ignored by the
+#: kinds that always fire at ``now``).
+SCHEDULE_KINDS = ["succeed", "timeout", "delay", "schedule", "process", "pipeline"]
+
+lane_programs = st.lists(
+    st.tuples(
+        st.integers(0, 1_000),
+        st.sampled_from(SCHEDULE_KINDS),
+        st.sampled_from([0.0, 0.0, 0.0, 1.0, 2.5]),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+def _children(program):
+    """Node ``i + 1`` is a child of node ``parent % (i + 1)``; node 0 is
+    scheduled before the run."""
+    children = [[] for _ in range(len(program) + 1)]
+    for i, (parent, kind, delay) in enumerate(program):
+        children[parent % (i + 1)].append((i + 1, kind, delay))
+    return children
+
+
+def _run_engine(program, until):
+    sim = Simulator()
+    children = _children(program)
+    log = []
+
+    def fire(node):
+        log.append((node, sim.now, sim.peek()))
+        for child, kind, delay in children[node]:
+            schedule(child, kind, delay)
+
+    def schedule(child, kind, delay):
+        def call(_event=None):
+            fire(child)
+
+        if kind == "succeed":
+            event = Event(sim)
+            event.add_callback(call)
+            event.succeed()
+        elif kind == "timeout":
+            sim.timeout(delay).add_callback(call)
+        elif kind == "delay":
+            sim.delay(delay).add_callback(call)
+        elif kind == "schedule":
+            sim._schedule(sim.now + delay, call)
+        elif kind == "process":
+            def body():
+                yield sim.timeout(delay)
+                fire(child)
+
+            sim.process(body())
+        else:
+            Pipeline(sim, ((DELAY, delay, None),), 0.0).event.add_callback(call)
+
+    fire(0)
+    peeks = [sim.peek()]
+    stopped = sim.run(until=until)
+    checkpoint = (list(log), stopped, sim.now, sim.peek())
+    sim.run()
+    return log, checkpoint, peeks, sim._seq, sim.now
+
+
+def _run_reference(program, until):
+    ref = _HeapOnlySim()
+    children = _children(program)
+    log = []
+
+    def fire(node):
+        log.append((node, ref.now, ref.peek()))
+        for child, kind, delay in children[node]:
+            schedule(child, kind, delay)
+
+    def schedule(child, kind, delay):
+        now = ref.now
+
+        def call():
+            fire(child)
+
+        if kind == "succeed":
+            ref.schedule(now, call)
+        elif kind in ("timeout", "delay", "schedule"):
+            ref.schedule(now + delay, call)
+        elif kind == "process":
+            # Kick, then the timeout; the body returns and the process
+            # event itself succeeds.
+            def resumed():
+                fire(child)
+                ref.schedule(ref.now, lambda: None)
+
+            ref.schedule(now, lambda: ref.schedule(ref.now + delay, resumed))
+        else:
+            # Kick, then the DELAY stage's wake-up, then the final succeed.
+            ref.schedule(
+                now,
+                lambda: ref.schedule(
+                    ref.now + delay, lambda: ref.schedule(ref.now, call)
+                ),
+            )
+
+    fire(0)
+    peeks = [ref.peek()]
+    stopped = ref.run(until=until)
+    checkpoint = (list(log), stopped, ref.now, ref.peek())
+    ref.run()
+    return log, checkpoint, peeks, ref.seq, ref.now
+
+
+@settings(max_examples=300, deadline=None)
+@given(program=lane_programs, until=st.sampled_from([0.0, 1.0, 2.5, 3.0]))
+def test_same_time_lane_keeps_time_seq_order(program, until):
+    """Random mixes of succeed(), timeout(0), delay(0), _schedule(now),
+    process and pipeline kicks and future entries fire in exactly the
+    ``(time, seq)`` order of a heap-only simulator; ``peek()`` (also
+    while same-time entries are pending), ``run(until=...)`` and the
+    count of scheduled entries agree too."""
+    assert _run_engine(program, until) == _run_reference(program, until)

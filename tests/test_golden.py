@@ -8,10 +8,18 @@ the golden values (and re-check EXPERIMENTS.md).
 
 import pytest
 
+from repro.core import round_robin
 from repro.faults import parse_fault_spec
 from repro.island import NetworkKind, SpmDmaNetworkConfig
+from repro.serve import (
+    AdmissionConfig,
+    ArrivalConfig,
+    ServeConfig,
+    make_tenants,
+    run_serve,
+)
 from repro.sim import SystemConfig, run_workload
-from repro.workloads import get_workload
+from repro.workloads import get_workload, synthetic_workload
 
 GOLDEN = {
     ("Denoise", "xbar"): (27292.04666666668, 1193246.7626134404),
@@ -66,3 +74,84 @@ def test_dma_fault_golden_run(name, net):
     assert result.total_cycles == pytest.approx(cycles, rel=1e-12)
     assert result.energy_nj == pytest.approx(energy, rel=1e-12)
     assert (result.dma_stalls, result.dma_retries) == (stalls, retries)
+
+
+#: The serve rows: a 4-tenant on-off session queueing at the ABC.
+SERVE_RPC = synthetic_workload(
+    name="rpc", depth=2, width=2, invocations=32, tiles=16
+)
+
+SERVE_PLATFORMS = {
+    # One island at 1.2x its saturation rate (914.12 requests/Mcycle).
+    "one-island": (
+        SystemConfig(
+            n_islands=1,
+            abb_mix={"poly": 2, "div": 2, "sqrt": 1, "pow": 1, "sum": 1},
+        ),
+        1.2 * 914.12 / 4,
+    ),
+    "three-island-rr-sharing": (
+        SystemConfig(
+            n_islands=3,
+            abb_mix={"poly": 3, "div": 3, "sqrt": 2, "pow": 2, "sum": 2},
+            policy=round_robin,
+            spm_sharing=True,
+        ),
+        400.0,
+    ),
+}
+
+#: (drained_cycles, energy_nj, latency_p99, offered, completed, shed,
+#: sw_fallbacks) of the session, seed 7.
+SERVE_GOLDEN = {
+    ("one-island", "always_hw"): (
+        328274.2091289166, 14196593.319060832, 126148.0967024604,
+        310, 310, 0, 0,
+    ),
+    ("one-island", "wait_threshold"): (
+        362665.40524590196, 20424415.427231442, 153868.7804928354,
+        310, 310, 0, 108,
+    ),
+    ("one-island", "shed"): (
+        217806.70912891993, 9419134.524879571, 18587.022935125562,
+        310, 205, 105, 0,
+    ),
+    ("three-island-rr-sharing", "always_hw"): (
+        427610.31650883355, 18501847.372404184, 253388.1037526128,
+        435, 435, 0, 0,
+    ),
+    ("three-island-rr-sharing", "wait_threshold"): (
+        634030.432486449, 36746578.20670076, 423777.6742448741,
+        435, 435, 0, 213,
+    ),
+}
+
+
+@pytest.mark.parametrize("platform,policy", sorted(SERVE_GOLDEN))
+def test_serve_golden_session(platform, policy):
+    config, rate = SERVE_PLATFORMS[platform]
+    arrival = ArrivalConfig(
+        kind="onoff",
+        rate_per_mcycle=rate,
+        mean_on_cycles=150_000,
+        mean_off_cycles=150_000,
+    )
+    result = run_serve(
+        config,
+        ServeConfig(
+            tenants=make_tenants(4, [SERVE_RPC], arrival),
+            admission=AdmissionConfig(policy=policy),
+            duration_cycles=200_000.0,
+            seed=7,
+        ),
+    )
+    drained, energy, p99, offered, completed, shed, fallbacks = SERVE_GOLDEN[
+        (platform, policy)
+    ]
+    assert result.drained_cycles == pytest.approx(drained, rel=1e-12)
+    assert result.energy_nj == pytest.approx(energy, rel=1e-12)
+    assert result.latency_p99 == pytest.approx(p99, rel=1e-12)
+    assert (result.offered, result.completed, result.shed) == (
+        offered, completed, shed,
+    )
+    assert result.sw_fallbacks == fallbacks

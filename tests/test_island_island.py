@@ -1,10 +1,13 @@
 """Tests for the island assembly: allocation, data paths, area/power."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.abb import standard_library
+from repro.abb.instance import ABBState
 from repro.engine import Simulator
-from repro.errors import AllocationError, ConfigError
+from repro.errors import AllocationError, ConfigError, SimulationError
 from repro.island import Island, IslandConfig, NetworkKind, SpmDmaNetworkConfig, SpmPorting
 from repro.power import EnergyAccount
 
@@ -99,6 +102,91 @@ class TestAllocation:
                 count += 1
 
         assert max_parallel(shared) < max_parallel(private)
+
+
+def slot_state(island):
+    """Everything a release touches, for before/after comparisons."""
+    return (
+        [abb.state for abb in island.abbs],
+        [abb.total_tasks for abb in island.abbs],
+        [group.is_free for group in island.spm_groups],
+        list(island._neighbor_locks),
+        {t: island.free_slots(t) for t in island._slots_by_type},
+        island.busy_fraction(),
+    )
+
+
+class TestBadRelease:
+    """A rejected release changes nothing (it used to half-apply)."""
+
+    @pytest.mark.parametrize("sharing", [False, True])
+    def test_wrong_owner(self, sharing):
+        _, island, _ = make_island(spm_sharing=sharing)
+        island.allocate(2, "owner")
+        island.abbs[2].start_compute()
+        before = slot_state(island)
+        with pytest.raises(SimulationError, match="non-owner"):
+            island.release(2, "intruder", invocations=1)
+        assert slot_state(island) == before
+        island.release(2, "owner", invocations=1)  # still releasable
+        assert island.slot_usable(2)
+
+    def test_release_before_compute(self):
+        _, island, _ = make_island()
+        island.allocate(2, "owner")
+        before = slot_state(island)
+        with pytest.raises(SimulationError, match="finished while reserved"):
+            island.release(2, "owner", invocations=1)
+        assert slot_state(island) == before
+
+    def test_double_release(self):
+        _, island, _ = make_island(spm_sharing=True)
+        island.allocate(2, "owner")
+        island.abbs[2].start_compute()
+        island.release(2, "owner", invocations=1)
+        before = slot_state(island)
+        with pytest.raises(SimulationError, match="finished while idle"):
+            island.release(2, "owner", invocations=1)
+        assert slot_state(island) == before
+
+
+#: Slot layout of INDEX_MIX (types sorted by name): div 0-1, poly 2-4,
+#: sum 5, so neighbours of other types meet at 1/2 and 4/5.
+INDEX_MIX = {"poly": 3, "div": 2, "sum": 1}
+
+index_ops = st.lists(
+    st.tuples(
+        st.sampled_from(["allocate", "start", "release", "fail"]),
+        st.integers(0, 5),
+    ),
+    max_size=40,
+)
+
+
+class TestUsableSlotIndex:
+    @settings(max_examples=150, deadline=None)
+    @given(sharing=st.booleans(), ops=index_ops)
+    def test_index_matches_predicate(self, sharing, ops):
+        """After any allocate / start_compute / release / fail_slot
+        sequence, free_slots(t) is exactly the slots slot_usable accepts."""
+        _, island, _ = make_island(spm_sharing=sharing, abb_mix=dict(INDEX_MIX))
+        owners = {}
+        for op, slot in ops:
+            state = island.abbs[slot].state
+            if op == "allocate" and island.slot_usable(slot):
+                owners[slot] = object()
+                island.allocate(slot, owners[slot])
+            elif op == "start" and state is ABBState.RESERVED:
+                island.abbs[slot].start_compute()
+            elif op == "release" and state is ABBState.COMPUTING:
+                island.release(slot, owners.pop(slot), invocations=1)
+            elif op == "fail" and not island._failed[slot]:
+                island.fail_slot(slot)
+            for type_name in INDEX_MIX:
+                assert tuple(island.free_slots(type_name)) == tuple(
+                    s for s in island.slots_of_type(type_name)
+                    if island.slot_usable(s)
+                )
 
 
 class TestDataPath:

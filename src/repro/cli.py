@@ -19,6 +19,8 @@ from dataclasses import replace
 from repro.arch.presets import PAPER_NETWORKS
 from repro.cmp import compare_to_cmp, xeon_e5_2420
 from repro.dse import (
+    DEFAULT_CACHE_DIR,
+    ResultCache,
     fig6_series,
     fig7_table,
     fig8_table,
@@ -28,6 +30,7 @@ from repro.dse import (
 from repro.dse.plots import hbar_chart, line_series
 from repro.errors import ConfigError, ReproError
 from repro.faults import parse_fault_spec
+from repro.island import SpmDmaNetworkConfig
 from repro.power import OP_ENERGY_TABLE, PipelineEnergyModel, aes_efficiency_gap
 from repro.sim import SystemConfig, run_workload
 from repro.workloads import PAPER_BENCHMARKS, get_workload
@@ -44,6 +47,27 @@ NETWORK_ALIASES = {
 
 def _print(text: str) -> None:
     sys.stdout.write(text + "\n")
+
+
+def network_from_name(name: str) -> SpmDmaNetworkConfig:
+    """The paper network a CLI alias names; unknown aliases are rejected."""
+    if name not in NETWORK_ALIASES:
+        raise ConfigError(
+            f"unknown network {name!r}; choose from {sorted(NETWORK_ALIASES)}"
+        )
+    return PAPER_NETWORKS[NETWORK_ALIASES[name]]
+
+
+def config_from_args(args) -> SystemConfig:
+    """The system a command's ``--islands``/``--network`` describe."""
+    return SystemConfig(
+        n_islands=args.islands, network=network_from_name(args.network)
+    )
+
+
+def cache_from_args(args) -> typing.Optional[ResultCache]:
+    """The result cache ``--cache-dir``/``--no-cache`` select."""
+    return None if args.no_cache else ResultCache(args.cache_dir)
 
 
 # --------------------------------------------------------------- commands
@@ -135,16 +159,8 @@ def cmd_fig10(args) -> None:
 
 def cmd_run(args) -> None:
     """Run one benchmark on one configuration and summarize it."""
-    if args.network not in NETWORK_ALIASES:
-        raise ConfigError(
-            f"unknown network {args.network!r}; choose from "
-            f"{sorted(NETWORK_ALIASES)}"
-        )
+    config = config_from_args(args)
     fault_spec = parse_fault_spec(args.faults) if args.faults else None
-    config = SystemConfig(
-        n_islands=args.islands,
-        network=PAPER_NETWORKS[NETWORK_ALIASES[args.network]],
-    )
     if fault_spec is not None:
         config = replace(config, faults=fault_spec, fault_seed=args.fault_seed)
     workload = get_workload(args.workload, tiles=args.tiles)
@@ -189,32 +205,24 @@ def _parse_csv(text: str, label: str) -> list:
 
 def cmd_sweep(args) -> None:
     """Sweep a design space, optionally in parallel and cached."""
-    from repro.dse import DesignSpace, Explorer, ResultCache
+    from repro.dse import DesignSpace, Explorer
     from repro.sim.serialize import save_results
 
-    network_names = _parse_csv(args.networks, "networks")
-    for name in network_names:
-        if name not in NETWORK_ALIASES:
-            raise ConfigError(
-                f"unknown network {name!r}; choose from {sorted(NETWORK_ALIASES)}"
-            )
+    networks = tuple(
+        network_from_name(name) for name in _parse_csv(args.networks, "networks")
+    )
     try:
         island_counts = tuple(
             int(n) for n in _parse_csv(args.islands, "island counts")
         )
     except ValueError as err:
         raise ConfigError(f"bad island count: {err}") from None
-    space = DesignSpace(
-        island_counts=island_counts,
-        networks=tuple(
-            PAPER_NETWORKS[NETWORK_ALIASES[name]] for name in network_names
-        ),
-    )
+    space = DesignSpace(island_counts=island_counts, networks=networks)
     workloads = [
         get_workload(name, tiles=args.tiles)
         for name in _parse_csv(args.workloads, "workloads")
     ]
-    cache = None if args.no_cache else ResultCache(args.cache_dir)
+    cache = cache_from_args(args)
     explorer = Explorer(workloads, cache=cache, jobs=args.jobs)
     _print(
         f"sweeping {space.size()} design points x {len(workloads)} "
@@ -246,7 +254,7 @@ def cmd_sweep(args) -> None:
 
 def cmd_serve(args) -> None:
     """Run a multi-tenant open-loop serving session and report SLOs."""
-    from repro.dse import ResultCache, serve_point_fingerprint
+    from repro.dse import serve_point_fingerprint
     from repro.serve import (
         ADMISSION_POLICIES,
         AdmissionConfig,
@@ -259,15 +267,7 @@ def cmd_serve(args) -> None:
         trace_from_file,
     )
 
-    if args.network not in NETWORK_ALIASES:
-        raise ConfigError(
-            f"unknown network {args.network!r}; choose from "
-            f"{sorted(NETWORK_ALIASES)}"
-        )
-    config = SystemConfig(
-        n_islands=args.islands,
-        network=PAPER_NETWORKS[NETWORK_ALIASES[args.network]],
-    )
+    config = config_from_args(args)
     workloads = [
         get_workload(name, tiles=args.tiles)
         for name in _parse_csv(args.workloads, "workloads")
@@ -279,7 +279,7 @@ def cmd_serve(args) -> None:
     # Closed-loop anchor: measured saturation throughput of a fair
     # interleaving, so "--load 0.8" means 80% of measured capacity.
     saturation = estimate_saturation(config, tenant_workloads)
-    if args.rate > 0:
+    if args.rate != 0:
         per_tenant_rate = args.rate
     else:
         per_tenant_rate = args.load * saturation / args.tenants
@@ -298,7 +298,7 @@ def cmd_serve(args) -> None:
     policies = (
         list(ADMISSION_POLICIES) if args.compare else [args.policy]
     )
-    cache = None if args.no_cache else ResultCache(args.cache_dir)
+    cache = cache_from_args(args)
     _print(
         f"{args.tenants} tenants on {config.label()} | closed-loop "
         f"saturation {saturation:.1f} req/Mcycle, offering "
@@ -401,15 +401,7 @@ def cmd_trace(args) -> None:
     from repro.engine.trace import Tracer
     from repro.obs import analyze_critical_path, write_trace
 
-    if args.network not in NETWORK_ALIASES:
-        raise ConfigError(
-            f"unknown network {args.network!r}; choose from "
-            f"{sorted(NETWORK_ALIASES)}"
-        )
-    config = SystemConfig(
-        n_islands=args.islands,
-        network=PAPER_NETWORKS[NETWORK_ALIASES[args.network]],
-    )
+    config = config_from_args(args)
     workload = get_workload(args.workload, tiles=args.tiles)
     tracer = Tracer()
     result = run_workload(config, workload, tracer=tracer)
@@ -478,6 +470,34 @@ def cmd_report(args) -> None:
 
 
 # ----------------------------------------------------------------- parser
+def _add_shared_args(
+    parser: argparse.ArgumentParser,
+    islands: typing.Optional[int] = None,
+    network: typing.Optional[str] = None,
+    cache: bool = False,
+) -> None:
+    """Add the system (``--islands``/``--network``, read by
+    :func:`config_from_args`) and result-cache arguments a command shares,
+    with that command's defaults."""
+    if islands is not None:
+        parser.add_argument("--islands", type=int, default=islands)
+    if network is not None:
+        parser.add_argument(
+            "--network", default=network, help=f"one of {sorted(NETWORK_ALIASES)}"
+        )
+    if cache:
+        parser.add_argument(
+            "--cache-dir",
+            default=DEFAULT_CACHE_DIR,
+            help="persistent result-cache directory",
+        )
+        parser.add_argument(
+            "--no-cache",
+            action="store_true",
+            help="disable the persistent result cache",
+        )
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Construct the argument parser with all figure subcommands."""
     parser = argparse.ArgumentParser(
@@ -510,10 +530,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = add("run", cmd_run, "run one benchmark on one configuration")
     run.add_argument("workload", choices=sorted(PAPER_BENCHMARKS))
-    run.add_argument("--islands", type=int, default=24)
-    run.add_argument(
-        "--network", default="ring2x32", help=f"one of {sorted(NETWORK_ALIASES)}"
-    )
+    _add_shared_args(run, islands=24, network="ring2x32")
     run.add_argument(
         "--faults",
         default="",
@@ -548,16 +565,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument(
         "--jobs", type=int, default=1, help="worker processes (1 = serial)"
     )
-    sweep.add_argument(
-        "--cache-dir",
-        default=".repro-cache",
-        help="persistent result-cache directory",
-    )
-    sweep.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the persistent result cache",
-    )
+    _add_shared_args(sweep, cache=True)
     sweep.add_argument("--out", default="", help="write results JSON here")
 
     serve = add("serve", cmd_serve, "multi-tenant open-loop serving session")
@@ -620,20 +628,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=2_000_000.0,
         help="arrival window in cycles",
     )
-    serve.add_argument("--islands", type=int, default=3)
-    serve.add_argument(
-        "--network", default="ring2x32", help=f"one of {sorted(NETWORK_ALIASES)}"
-    )
-    serve.add_argument(
-        "--cache-dir",
-        default=".repro-cache",
-        help="persistent result-cache directory",
-    )
-    serve.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the persistent result cache",
-    )
+    _add_shared_args(serve, islands=3, network="ring2x32", cache=True)
     serve.add_argument("--out", default="", help="write serve results JSON here")
     serve.add_argument(
         "--metrics-out",
@@ -648,10 +643,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     trace = add("trace", cmd_trace, "trace one run and export Perfetto JSON")
     trace.add_argument("workload", choices=sorted(PAPER_BENCHMARKS))
-    trace.add_argument("--islands", type=int, default=3)
-    trace.add_argument(
-        "--network", default="crossbar", help=f"one of {sorted(NETWORK_ALIASES)}"
-    )
+    _add_shared_args(trace, islands=3, network="crossbar")
     trace.add_argument(
         "--out", default="trace.json", help="Perfetto trace-event JSON path"
     )
@@ -660,7 +652,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     topo = add("topology", cmd_topology, "render the mesh floorplan", tiles=False)
-    topo.add_argument("--islands", type=int, default=24)
+    _add_shared_args(topo, islands=24)
     return parser
 
 

@@ -34,8 +34,8 @@ from repro.sim.results import SimResult
 from repro.sim.run import DEFAULT_TILE_WINDOW
 from repro.sim.serialize import (
     SCHEMA_VERSION,
-    result_from_dict,
-    result_to_dict,
+    record_from_dict,
+    record_to_dict,
 )
 from repro.sim.system import SystemConfig
 from repro.workloads.base import Workload
@@ -119,21 +119,25 @@ class ResultCache:
             self.cache_dir, fingerprint[:2], f"{fingerprint}.json"
         )
 
-    def _load(self, fingerprint: str, kind: str) -> typing.Optional[dict]:
-        """Raw entry payload for one fingerprint, or ``None``."""
-        path = self._path(fingerprint)
+    def _get(
+        self, fingerprint: str, kind: str, record_class: type
+    ) -> typing.Optional[typing.Any]:
+        """Decode the ``kind`` entry for one fingerprint, or ``None``."""
         try:
-            with open(path) as handle:
+            with open(self._path(fingerprint)) as handle:
                 document = json.load(handle)
             if document.get("schema_version") != SCHEMA_VERSION:
                 raise ValueError("schema mismatch")
             if document.get("kind", "sim") != kind:
                 raise ValueError("kind mismatch")
-            return document["result"]
+            result = record_from_dict(record_class, document["result"])
         except (OSError, ValueError, KeyError, TypeError):
+            self.misses += 1
             return None
+        self.hits += 1
+        return result
 
-    def _store(self, fingerprint: str, kind: str, payload: dict) -> None:
+    def _store(self, fingerprint: str, kind: str, result: typing.Any) -> None:
         """Atomically write one entry (temp file + replace)."""
         path = self._path(fingerprint)
         os.makedirs(os.path.dirname(path), exist_ok=True)
@@ -141,7 +145,7 @@ class ResultCache:
             "schema_version": SCHEMA_VERSION,
             "kind": kind,
             "fingerprint": fingerprint,
-            "result": payload,
+            "result": record_to_dict(result),
         }
         fd, tmp_path = tempfile.mkstemp(
             dir=os.path.dirname(path), suffix=".tmp"
@@ -159,43 +163,21 @@ class ResultCache:
 
     def get(self, fingerprint: str) -> typing.Optional[SimResult]:
         """Look up a result by fingerprint; ``None`` if absent/corrupt."""
-        payload = self._load(fingerprint, "sim")
-        if payload is None:
-            self.misses += 1
-            return None
-        try:
-            result = result_from_dict(payload)
-        except (ValueError, KeyError, TypeError):
-            self.misses += 1
-            return None
-        self.hits += 1
-        return result
+        return self._get(fingerprint, "sim", SimResult)
 
     def put(self, fingerprint: str, result: SimResult) -> None:
         """Store a result under its fingerprint (atomic replace)."""
-        self._store(fingerprint, "sim", result_to_dict(result))
+        self._store(fingerprint, "sim", result)
 
     def get_serve(self, fingerprint: str) -> typing.Optional["typing.Any"]:
         """Look up a serving-session result; ``None`` if absent/corrupt."""
-        from repro.serve.slo import serve_result_from_dict
+        from repro.serve.slo import ServeResult
 
-        payload = self._load(fingerprint, "serve")
-        if payload is None:
-            self.misses += 1
-            return None
-        try:
-            result = serve_result_from_dict(payload)
-        except (ValueError, KeyError, TypeError):
-            self.misses += 1
-            return None
-        self.hits += 1
-        return result
+        return self._get(fingerprint, "serve", ServeResult)
 
     def put_serve(self, fingerprint: str, result: "typing.Any") -> None:
         """Store a serving-session result under its fingerprint."""
-        from repro.serve.slo import serve_result_to_dict
-
-        self._store(fingerprint, "serve", serve_result_to_dict(result))
+        self._store(fingerprint, "serve", result)
 
     def __len__(self) -> int:
         """Number of entries currently on disk."""

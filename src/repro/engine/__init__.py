@@ -21,12 +21,11 @@ from repro.engine.resources import (
     Resource,
     Store,
 )
-from repro.engine.stats import Counter, Histogram, UtilizationTracker
+from repro.engine.stats import Histogram, UtilizationTracker
 
 __all__ = [
     "AllOf",
     "BandwidthServer",
-    "Counter",
     "DELAY",
     "DMA",
     "Event",

@@ -1,9 +1,9 @@
 """Hierarchically named metrics registry with JSON and Prometheus export.
 
 The registry is a *view* layer: metrics wrap the statistics objects the
-simulation already maintains (:mod:`repro.engine.stats` counters and
-histograms, :class:`~repro.engine.stats.UtilizationTracker`,
-bandwidth-server byte totals) and sample them on demand.  Nothing is
+simulation already maintains (:mod:`repro.engine.stats` histograms,
+:class:`~repro.engine.stats.UtilizationTracker`, bandwidth-server byte
+totals, plain numbers and callables) and sample them on demand.  Nothing is
 recorded twice and nothing runs during simulation, so an un-exported
 registry costs exactly zero — the zero-cost-when-disabled guarantee of
 the observability subsystem.
@@ -25,7 +25,6 @@ import json
 import re
 import typing
 
-from repro.engine.stats import Counter as StatsCounter
 from repro.engine.stats import Histogram as StatsHistogram
 from repro.engine.stats import UtilizationTracker
 from repro.errors import ConfigError
@@ -42,7 +41,7 @@ _PROM_SANITIZE_RE = re.compile(r"[^a-zA-Z0-9_:]")
 #: Percentiles exported for histogram metrics.
 HISTOGRAM_PERCENTILES = (50.0, 95.0, 99.0)
 
-_Source = typing.Union[float, int, typing.Callable[[], float], StatsCounter]
+_Source = typing.Union[float, int, typing.Callable[[], float]]
 
 
 def _check_name(name: str) -> str:
@@ -57,52 +56,54 @@ def _check_name(name: str) -> str:
     return name
 
 
-def _sample_scalar(source: _Source) -> float:
-    if isinstance(source, StatsCounter):
-        return float(source.value)
-    if callable(source):
-        return float(source())
-    return float(source)
-
-
 class Metric:
-    """One named metric: a kind plus a ``values()`` sampler."""
+    """One named metric: a kind plus a ``values()`` sampler.
+
+    ``components`` names the keys ``values()`` returns, so the keys the
+    metric flattens to are known before it is ever sampled.
+    """
 
     kind = "metric"
+    components: tuple = ("value",)
 
     def __init__(self, name: str, help: str = "") -> None:
         self.name = _check_name(name)
         self.help = help
+
+    def keys(self) -> tuple:
+        """Flattened names: the bare name for a single-value metric,
+        else ``name.component`` per component."""
+        if self.components == ("value",):
+            return (self.name,)
+        return tuple(f"{self.name}.{c}" for c in self.components)
 
     def values(self) -> dict[str, float]:
         """Sample the metric now; keys are value-component names."""
         raise NotImplementedError
 
 
-class Counter(Metric):
+class _ScalarMetric(Metric):
+    """One value read from a number or a callable sampled on demand."""
+
+    def __init__(self, name: str, source: _Source, help: str = "") -> None:
+        super().__init__(name, help)
+        self._source = source
+
+    def values(self) -> dict[str, float]:
+        source = self._source
+        return {"value": float(source() if callable(source) else source)}
+
+
+class Counter(_ScalarMetric):
     """A monotonically increasing total (bytes moved, grants made)."""
 
     kind = "counter"
 
-    def __init__(self, name: str, source: _Source, help: str = "") -> None:
-        super().__init__(name, help)
-        self._source = source
 
-    def values(self) -> dict[str, float]:
-        return {"value": _sample_scalar(self._source)}
-
-
-class Gauge(Metric):
+class Gauge(_ScalarMetric):
     """An instantaneous level (utilization, queue depth, a percentile)."""
 
     kind = "gauge"
-
-    def __init__(self, name: str, source: _Source, help: str = "") -> None:
-        super().__init__(name, help)
-        self._source = source
-
-    def values(self) -> dict[str, float]:
-        return {"value": _sample_scalar(self._source)}
 
 
 class TimeWeightedGauge(Metric):
@@ -114,6 +115,7 @@ class TimeWeightedGauge(Metric):
     """
 
     kind = "time_weighted_gauge"
+    components = ("average", "peak")
 
     def __init__(
         self,
@@ -142,6 +144,9 @@ class HistogramView(Metric):
     """
 
     kind = "histogram"
+    components = ("count", "mean", "min", "max") + tuple(
+        f"p{p:g}" for p in HISTOGRAM_PERCENTILES
+    )
 
     def __init__(
         self, name: str, histogram: StatsHistogram, help: str = ""
@@ -176,6 +181,7 @@ class _StaticMetric(Metric):
         super().__init__(name, help)
         self.kind = kind
         self._values = dict(values)
+        self.components = tuple(self._values)
 
     def values(self) -> dict[str, float]:
         return dict(self._values)
@@ -184,18 +190,35 @@ class _StaticMetric(Metric):
 class MetricsRegistry:
     """A namespace of metrics with versioned export.
 
-    Registration order is preserved; names are unique.
+    Registration order is preserved; names are unique, and so are the
+    flattened keys of :meth:`collect`.
     """
 
     def __init__(self) -> None:
         self._metrics: dict[str, Metric] = {}
+        self._key_owner: dict[str, str] = {}
 
     # --------------------------------------------------------- registration
     def register(self, metric: Metric) -> Metric:
-        """Add one metric; duplicate names are rejected."""
+        """Add one metric.
+
+        Rejects a duplicate name, and a metric whose flattened key
+        another metric already produces (counter ``lat.p99`` next to
+        histogram ``lat``), which :meth:`collect` would otherwise
+        silently overwrite.
+        """
         if metric.name in self._metrics:
             raise ConfigError(f"duplicate metric name {metric.name!r}")
+        keys = metric.keys()
+        for key in keys:
+            if key in self._key_owner:
+                raise ConfigError(
+                    f"metric key collision: {key!r} of {metric.name!r} is "
+                    f"already a key of {self._key_owner[key]!r}; rename one "
+                    f"of them"
+                )
         self._metrics[metric.name] = metric
+        self._key_owner.update(dict.fromkeys(keys, metric.name))
         return metric
 
     def counter(self, name: str, source: _Source, help: str = "") -> Counter:
@@ -255,13 +278,11 @@ class MetricsRegistry:
         (``abc.alloc.wait_cycles.p99``).
         """
         out: dict[str, float] = {}
-        for name, metric in self._metrics.items():
+        for metric in self._metrics.values():
             values = metric.values()
-            if set(values) == {"value"}:
-                out[name] = values["value"]
-            else:
-                for component, value in values.items():
-                    out[f"{name}.{component}"] = value
+            out.update(
+                zip(metric.keys(), (values[c] for c in metric.components))
+            )
         return out
 
     # --------------------------------------------------------------- export

@@ -35,8 +35,6 @@ from repro.serve.slo import (
     latency_summary,
     load_serve_results,
     save_serve_results,
-    serve_result_from_dict,
-    serve_result_to_dict,
 )
 
 __all__ = [
@@ -59,7 +57,5 @@ __all__ = [
     "mean_rate",
     "run_serve",
     "save_serve_results",
-    "serve_result_from_dict",
-    "serve_result_to_dict",
     "trace_from_file",
 ]

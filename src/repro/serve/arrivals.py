@@ -73,14 +73,19 @@ class ArrivalConfig:
                 f"unknown arrival kind {self.kind!r}; choose from "
                 f"{sorted(ARRIVAL_KINDS)}"
             )
-        if self.kind != "trace" and self.rate_per_mcycle <= 0:
+        if self.kind != "trace" and not 0 < self.rate_per_mcycle < math.inf:
             raise ConfigError(
-                f"arrival rate must be positive, got {self.rate_per_mcycle}"
+                f"arrival rate must be positive and finite, got "
+                f"{self.rate_per_mcycle}"
             )
-        if self.kind == "onoff" and (
-            self.mean_on_cycles <= 0 or self.mean_off_cycles <= 0
+        if self.kind == "onoff" and not (
+            0 < self.mean_on_cycles < math.inf
+            and 0 < self.mean_off_cycles < math.inf
         ):
-            raise ConfigError("on/off dwell times must be positive")
+            raise ConfigError(
+                f"on/off dwell times must be positive and finite, got "
+                f"{self.mean_on_cycles} on / {self.mean_off_cycles} off"
+            )
         if self.kind == "trace":
             if not self.trace:
                 raise ConfigError("trace arrivals need at least one time")
@@ -91,12 +96,6 @@ class ArrivalConfig:
                 if time < previous:
                     raise ConfigError("trace arrival times must be sorted")
                 previous = time
-
-    def with_rate(self, rate_per_mcycle: float) -> "ArrivalConfig":
-        """Copy of this config at a different mean rate."""
-        from dataclasses import replace
-
-        return replace(self, rate_per_mcycle=rate_per_mcycle)
 
 
 def _stream_rng(config: ArrivalConfig, stream: str) -> random.Random:

@@ -18,6 +18,7 @@ bit-reproducible and cacheable by content address
 
 from __future__ import annotations
 
+import math
 import typing
 from dataclasses import dataclass, field, replace
 
@@ -74,9 +75,10 @@ class ServeConfig:
     def __post_init__(self) -> None:
         if not self.tenants:
             raise ConfigError("serving session needs at least one tenant")
-        if self.duration_cycles <= 0:
+        if not 0 < self.duration_cycles < math.inf:
             raise ConfigError(
-                f"serve duration must be positive, got {self.duration_cycles}"
+                f"serve duration must be positive and finite, got "
+                f"{self.duration_cycles}"
             )
         names = [t.name for t in self.tenants]
         if len(set(names)) != len(names):

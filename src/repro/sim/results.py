@@ -21,8 +21,8 @@ class SimResult:
     total_cycles: float
     energy_nj: float
     area_mm2: float
-    abb_utilization_avg: float
-    abb_utilization_peak: float
+    abb_utilization_avg: float = 0.0
+    abb_utilization_peak: float = 0.0
     energy_breakdown_nj: dict[str, float] = field(default_factory=dict)
     noc_max_link_utilization: float = 0.0
     memory_bytes: float = 0.0

@@ -7,6 +7,7 @@ version, or post-processed outside Python.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import typing
 
@@ -41,63 +42,70 @@ def read_document(path: str, expected_version: int = SCHEMA_VERSION) -> dict:
     return document
 
 
-def result_to_dict(result: SimResult) -> dict:
-    """Flatten a result into a JSON-safe dict (includes derived metrics)."""
-    return {
-        "workload": result.workload,
-        "config_label": result.config_label,
-        "tiles": result.tiles,
-        "total_cycles": result.total_cycles,
-        "energy_nj": result.energy_nj,
-        "area_mm2": result.area_mm2,
-        "abb_utilization_avg": result.abb_utilization_avg,
-        "abb_utilization_peak": result.abb_utilization_peak,
-        "energy_breakdown_nj": dict(result.energy_breakdown_nj),
-        "noc_max_link_utilization": result.noc_max_link_utilization,
-        "memory_bytes": result.memory_bytes,
-        "failed_abbs": result.failed_abbs,
-        "dma_stalls": result.dma_stalls,
-        "dma_retries": result.dma_retries,
-        "fallback_tasks": result.fallback_tasks,
-        "fallback_tiles": result.fallback_tiles,
-        "attribution": dict(result.attribution),
-        "derived": result.summary_row(),
+def record_to_dict(record: typing.Any) -> dict:
+    """Flatten a result dataclass into a JSON-safe dict.
+
+    Walks the declared fields (as :mod:`repro.sim.fingerprint` does), so
+    a new field is serialized without touching this module.  Nested
+    records (a serve result's tenants) recurse; a record that defines
+    ``summary_row()`` also carries its derived metrics under
+    ``"derived"``, which decoding ignores.
+    """
+    out = {
+        field.name: _encode(getattr(record, field.name))
+        for field in dataclasses.fields(record)
     }
+    if hasattr(record, "summary_row"):
+        out["derived"] = record.summary_row()
+    return out
 
 
-def result_from_dict(data: typing.Mapping) -> SimResult:
-    """Rebuild a result from :func:`result_to_dict` output."""
-    required = {
-        "workload",
-        "config_label",
-        "tiles",
-        "total_cycles",
-        "energy_nj",
-        "area_mm2",
-    }
-    missing = required - set(data)
+def _encode(value: typing.Any) -> typing.Any:
+    if dataclasses.is_dataclass(value):
+        return record_to_dict(value)
+    if isinstance(value, (list, tuple)):
+        return [_encode(item) for item in value]
+    if isinstance(value, dict):
+        return dict(value)
+    return value
+
+
+def _decode(hint: typing.Any, value: typing.Any) -> typing.Any:
+    """Coerce one JSON value to its field annotation."""
+    origin = typing.get_origin(hint)
+    if origin is dict:
+        key_type, value_type = typing.get_args(hint)
+        return {key_type(k): value_type(v) for k, v in dict(value).items()}
+    if origin is tuple:
+        item_class = typing.get_args(hint)[0]
+        return tuple(record_from_dict(item_class, item) for item in value)
+    return hint(value) if hint in (int, float) else value
+
+
+def record_from_dict(cls: type, data: typing.Mapping) -> typing.Any:
+    """Rebuild a ``cls`` record from :func:`record_to_dict` output.
+
+    A field with a dataclass default may be absent (older documents);
+    one without is required, and its absence raises :class:`ConfigError`.
+    """
+    fields = dataclasses.fields(cls)
+    missing = {
+        field.name
+        for field in fields
+        if field.default is dataclasses.MISSING
+        and field.default_factory is dataclasses.MISSING
+    } - set(data)
     if missing:
-        raise ConfigError(f"serialized result missing fields: {sorted(missing)}")
-    return SimResult(
-        workload=data["workload"],
-        config_label=data["config_label"],
-        tiles=int(data["tiles"]),
-        total_cycles=float(data["total_cycles"]),
-        energy_nj=float(data["energy_nj"]),
-        area_mm2=float(data["area_mm2"]),
-        abb_utilization_avg=float(data.get("abb_utilization_avg", 0.0)),
-        abb_utilization_peak=float(data.get("abb_utilization_peak", 0.0)),
-        energy_breakdown_nj=dict(data.get("energy_breakdown_nj", {})),
-        noc_max_link_utilization=float(data.get("noc_max_link_utilization", 0.0)),
-        memory_bytes=float(data.get("memory_bytes", 0.0)),
-        failed_abbs=int(data.get("failed_abbs", 0)),
-        dma_stalls=int(data.get("dma_stalls", 0)),
-        dma_retries=int(data.get("dma_retries", 0)),
-        fallback_tasks=int(data.get("fallback_tasks", 0)),
-        fallback_tiles=int(data.get("fallback_tiles", 0)),
-        attribution={
-            str(k): float(v) for k, v in data.get("attribution", {}).items()
-        },
+        raise ConfigError(
+            f"serialized {cls.__name__} missing fields: {sorted(missing)}"
+        )
+    hints = typing.get_type_hints(cls)
+    return cls(
+        **{
+            field.name: _decode(hints[field.name], data[field.name])
+            for field in fields
+            if field.name in data
+        }
     )
 
 
@@ -108,7 +116,7 @@ def save_results(
     document = {
         "schema_version": SCHEMA_VERSION,
         "note": note,
-        "results": [result_to_dict(r) for r in results],
+        "results": [record_to_dict(r) for r in results],
     }
     write_document(path, document)
 
@@ -116,4 +124,4 @@ def save_results(
 def load_results(path: str) -> list:
     """Read results back from :func:`save_results` output."""
     document = read_document(path)
-    return [result_from_dict(d) for d in document["results"]]
+    return [record_from_dict(SimResult, d) for d in document["results"]]

@@ -48,6 +48,35 @@ class TestCommands:
         assert main(["run", "Denoise", "--tiles", "2", "--network", "torus"]) == 1
         assert "unknown network" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "Denoise", "--network", "torus"],
+            ["sweep", "--networks", "crossbar,torus"],
+            ["serve", "--network", "torus", "--no-cache"],
+            ["trace", "Denoise", "--network", "torus"],
+        ],
+        ids=["run", "sweep", "serve", "trace"],
+    )
+    def test_every_command_rejects_unknown_network(self, argv, capsys):
+        assert main(argv + ["--tiles", "2"]) == 1
+        assert "unknown network 'torus'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--duration", "nan"],
+            ["--duration", "inf", "--rate", "1"],
+            ["--rate", "inf", "--duration", "10000"],
+            ["--rate", "nan", "--duration", "10000"],
+        ],
+        ids=["duration-nan", "duration-inf", "rate-inf", "rate-nan"],
+    )
+    def test_serve_rejects_non_finite_inputs(self, extra, capsys):
+        argv = ["serve", "--tiles", "2", "--tenants", "1", "--no-cache"]
+        assert main(argv + extra) == 1
+        assert "finite" in capsys.readouterr().err
+
     def test_run_rejects_unknown_workload(self):
         with pytest.raises(SystemExit):
             main(["run", "Linpack"])

@@ -1,12 +1,15 @@
 """Tests for multi-application consolidation and distribution strategies."""
 
+import dataclasses
+
 import pytest
 
 from repro.abb import PAPER_ABB_MIX
 from repro.errors import ConfigError
+from repro.faults import parse_fault_spec
 from repro.sim import SystemConfig, distribute_mix, run_workload
 from repro.sim.run import run_consolidated
-from repro.workloads import get_workload
+from repro.workloads import MEDICAL_NAMES, get_workload
 
 
 class TestClusteredDistribution:
@@ -78,6 +81,23 @@ class TestConsolidation:
         shared = run_consolidated(cfg, apps)
         solo = run_workload(cfg, apps[0])
         assert shared.abb_utilization_avg > solo.abb_utilization_avg * 0.9
+
+    @pytest.mark.parametrize("faulted", [False, True])
+    @pytest.mark.parametrize("n_islands", [1, 3, 6])
+    @pytest.mark.parametrize("name", MEDICAL_NAMES)
+    def test_single_app_is_run_workload(self, name, n_islands, faulted):
+        """A closed-loop run is the one-application consolidated run."""
+        config = SystemConfig(n_islands=n_islands)
+        if faulted:
+            config = dataclasses.replace(
+                config,
+                faults=parse_fault_spec("abb:0.25,dma:0.1,noc:0.2"),
+                fault_seed=1,
+            )
+        workload = get_workload(name, tiles=4)
+        assert run_consolidated(config, [workload]) == run_workload(
+            config, workload
+        )
 
     def test_deterministic(self):
         apps = [get_workload("Denoise", tiles=3), get_workload("Deblur", tiles=3)]

@@ -148,12 +148,13 @@ class TestForwardProgress:
 
 class TestDegradationMetricsRoundTrip:
     def test_serialize_preserves_degradation_fields(self):
-        from repro.sim.serialize import result_from_dict, result_to_dict
+        from repro.sim.results import SimResult
+        from repro.sim.serialize import record_from_dict, record_to_dict
 
         config = SystemConfig(n_islands=6, faults=QUARTER_FAILURES, fault_seed=1)
         result = run_workload(config, get_workload("Denoise", tiles=2))
         assert result.degraded
-        assert result_from_dict(result_to_dict(result)) == result
+        assert record_from_dict(SimResult, record_to_dict(result)) == result
 
     def test_fingerprint_distinguishes_fault_configs(self):
         base = SystemConfig(n_islands=6)

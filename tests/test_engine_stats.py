@@ -5,16 +5,8 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.engine.stats import Counter, Histogram, StatsRegistry, UtilizationTracker
+from repro.engine.stats import Histogram, UtilizationTracker
 from repro.errors import ConfigError
-
-
-class TestCounter:
-    def test_starts_at_zero_and_accumulates(self):
-        c = Counter("x")
-        c.add()
-        c.add(2.5)
-        assert c.value == 3.5
 
 
 class TestHistogram:
@@ -129,45 +121,3 @@ class TestUtilizationTracker:
         u = UtilizationTracker(capacity=1)
         assert u.average(0.0) == 0.0
         assert u.average_utilization(0.0) == 0.0
-
-
-class TestStatsRegistry:
-    def test_counter_reuse(self):
-        reg = StatsRegistry()
-        reg.counter("hits").add(3)
-        reg.counter("hits").add(4)
-        assert reg.counter("hits").value == 7
-
-    def test_snapshot(self):
-        reg = StatsRegistry()
-        reg.counter("a").add(1)
-        reg.histogram("lat").record(10.0)
-        reg.histogram("lat").record(20.0)
-        snap = reg.snapshot()
-        assert snap["a"] == 1
-        assert snap["lat.mean"] == pytest.approx(15.0)
-        assert snap["lat.count"] == 2
-
-    def test_snapshot_collision_with_mean_key_raises(self):
-        # Regression: a counter named "lat.mean" used to be silently
-        # overwritten by histogram "lat"'s derived mean.
-        reg = StatsRegistry()
-        reg.counter("lat.mean").add(1)
-        reg.histogram("lat").record(10.0)
-        with pytest.raises(ConfigError, match="collision"):
-            reg.snapshot()
-
-    def test_snapshot_collision_with_count_key_raises(self):
-        reg = StatsRegistry()
-        reg.histogram("lat").record(10.0)
-        reg.counter("lat.count").add(1)
-        with pytest.raises(ConfigError, match="collision"):
-            reg.snapshot()
-
-    def test_snapshot_similar_names_no_false_collision(self):
-        reg = StatsRegistry()
-        reg.counter("lat.meanish").add(1)
-        reg.histogram("lat").record(10.0)
-        snap = reg.snapshot()
-        assert snap["lat.meanish"] == 1
-        assert snap["lat.mean"] == pytest.approx(10.0)

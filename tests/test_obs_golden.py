@@ -14,7 +14,7 @@ import pytest
 from repro.engine.trace import Tracer
 from repro.serve import ArrivalConfig, ServeConfig, make_tenants, run_serve
 from repro.sim import SystemConfig, run_workload
-from repro.sim.serialize import result_to_dict
+from repro.sim.serialize import record_to_dict
 from repro.workloads import denoise, get_workload
 from tests.test_golden import DMA_FAULT_GOLDEN, GOLDEN, golden_config
 
@@ -46,8 +46,8 @@ def test_traced_equals_untraced(name, net, dma_faults):
     assert not base.attribution
     assert replace(traced, attribution={}) == base
     # The serialized forms differ only in the attribution block.
-    traced_dict = result_to_dict(traced)
-    base_dict = result_to_dict(base)
+    traced_dict = record_to_dict(traced)
+    base_dict = record_to_dict(base)
     traced_dict.pop("attribution")
     base_dict.pop("attribution")
     assert traced_dict == base_dict

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.engine.stats import Counter as StatsCounter
 from repro.engine.stats import Histogram, UtilizationTracker
 from repro.errors import ConfigError
 from repro.obs import (
@@ -37,13 +36,53 @@ class TestNaming:
             registry.gauge("a.b", 2.0)
 
 
-class TestViews:
-    def test_counter_over_stats_counter(self):
-        stats = StatsCounter("n")
+class TestKeyCollisions:
+    def test_counter_on_histogram_p99_key_rejected(self):
+        # Regression: collect() used to overwrite the counter's 7.0 with
+        # the histogram's p99.
+        histogram = Histogram("lat")
+        histogram.record(19.9)
         registry = MetricsRegistry()
-        metric = registry.counter("events.n", stats)
-        stats.add(3)
-        stats.add(4)
+        registry.counter("lat.p99", 7.0)
+        with pytest.raises(ConfigError, match="collision"):
+            registry.histogram("lat", histogram)
+        assert registry.collect() == {"lat.p99": 7.0}
+
+    def test_counter_on_histogram_count_key_rejected(self):
+        registry = MetricsRegistry()
+        registry.histogram("lat", Histogram("lat"))
+        with pytest.raises(ConfigError, match="collision"):
+            registry.counter("lat.count", 1.0)
+        assert "lat.count" not in registry
+
+    def test_similar_names_no_false_collision(self):
+        histogram = Histogram("lat")
+        histogram.record(10.0)
+        registry = MetricsRegistry()
+        registry.counter("lat.p99ish", 1.0)
+        registry.histogram("lat", histogram)
+        flat = registry.collect()
+        assert flat["lat.p99ish"] == 1.0
+        assert flat["lat.p99"] == pytest.approx(10.0)
+
+    def test_keys_match_collect(self):
+        registry = MetricsRegistry()
+        registry.counter("a", 1.0)
+        registry.time_weighted_gauge("b", UtilizationTracker(2.0), 10.0)
+        registry.histogram("c", Histogram("c"))
+        expected = [
+            key for name in registry.names() for key in registry.get(name).keys()
+        ]
+        assert list(registry.collect()) == expected
+
+
+class TestViews:
+    def test_counter_over_callable_source(self):
+        total = [0]
+        registry = MetricsRegistry()
+        metric = registry.counter("events.n", lambda: total[0])
+        total[0] += 3
+        total[0] += 4
         assert metric.values() == {"value": 7.0}
 
     def test_gauge_over_callable_samples_live(self):

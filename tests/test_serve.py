@@ -13,6 +13,7 @@ from repro.serve import (
     ArrivalConfig,
     Decision,
     ServeConfig,
+    ServeResult,
     TenantSpec,
     arrival_times,
     estimate_saturation,
@@ -23,11 +24,10 @@ from repro.serve import (
     mean_rate,
     run_serve,
     save_serve_results,
-    serve_result_from_dict,
-    serve_result_to_dict,
     trace_from_file,
 )
 from repro.sim import SystemConfig
+from repro.sim.serialize import record_from_dict, record_to_dict
 from repro.sim.system import SystemModel
 from repro.workloads import get_workload, synthetic_workload
 
@@ -55,6 +55,14 @@ class TestArrivals:
     def test_bad_dwell_rejected(self):
         with pytest.raises(ConfigError):
             ArrivalConfig(kind="onoff", mean_on_cycles=-1.0)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize(
+        "field", ["rate_per_mcycle", "mean_on_cycles", "mean_off_cycles"]
+    )
+    def test_non_finite_rate_and_dwell_rejected(self, field, value):
+        with pytest.raises(ConfigError, match="finite"):
+            ArrivalConfig(kind="onoff", **{field: value})
 
     def test_trace_must_be_sorted(self):
         with pytest.raises(ConfigError):
@@ -216,6 +224,14 @@ class TestServeConfig:
         with pytest.raises(ConfigError):
             TenantSpec(name="", workload=RPC)
 
+    @pytest.mark.parametrize(
+        "duration", [0.0, -1.0, float("nan"), float("inf")]
+    )
+    def test_bad_duration_rejected(self, duration):
+        tenants = make_tenants(1, [RPC], ArrivalConfig())
+        with pytest.raises(ConfigError, match="finite"):
+            ServeConfig(tenants=tenants, duration_cycles=duration)
+
     def test_make_tenants_cycles_workloads(self):
         other = get_workload("Denoise", tiles=4)
         tenants = make_tenants(3, [RPC, other], ArrivalConfig())
@@ -274,7 +290,7 @@ class TestServeSession:
         assert first == second
         assert first.offered > 0
         assert first.completed == first.offered
-        assert serve_result_to_dict(first) == serve_result_to_dict(second)
+        assert record_to_dict(first) == record_to_dict(second)
 
     def test_different_seed_changes_arrivals(self):
         config = tiny_system()
@@ -349,14 +365,14 @@ class TestAdmissionImpact:
 class TestServeSerialization:
     def test_round_trip_through_dict_and_file(self, tmp_path):
         result = run_serve(tiny_system(), small_session(seed=9))
-        assert serve_result_from_dict(serve_result_to_dict(result)) == result
+        assert record_from_dict(ServeResult, record_to_dict(result)) == result
         path = str(tmp_path / "serve.json")
         save_serve_results([result], path, note="round trip")
         assert load_serve_results(path) == [result]
 
     def test_missing_fields_rejected(self):
         with pytest.raises(ConfigError):
-            serve_result_from_dict({"policy": "always_hw"})
+            record_from_dict(ServeResult, {"policy": "always_hw"})
 
     def test_wrong_kind_rejected(self, tmp_path):
         from repro.sim.serialize import write_document

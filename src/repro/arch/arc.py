@@ -132,7 +132,7 @@ class ARCSystem:
         yield self.memory.access(self._in_bytes, stream_id=tile_id)
         yield link.transfer(self._in_bytes)
         # Fused pipeline.
-        yield self.sim.delay(self._tile_compute)
+        yield self.sim.timeout(self._tile_compute)
         for task in self.graph.tasks:
             self.energy.charge(
                 "abb",
@@ -144,7 +144,7 @@ class ARCSystem:
         # The completion interrupt runs on the dispatching core before
         # the result is consumed; the OS path costs 100X more cycles.
         handler_cycles = self.gam.release(kernel_name, ticket)
-        yield self.sim.delay(handler_cycles)
+        yield self.sim.timeout(handler_cycles)
         self.completed += 1
 
     def run(self) -> SimResult:

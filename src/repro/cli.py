@@ -387,7 +387,7 @@ def cmd_serve(args) -> None:
             note=f"serve {traced.policy}, {args.tenants} tenants",
         )
         _print(
-            f"wrote {len(session_tracer.records):,} spans to "
+            f"wrote {len(session_tracer):,} spans to "
             f"{args.trace_out} (open in ui.perfetto.dev)"
         )
         _print("session critical-path attribution:")
@@ -409,7 +409,7 @@ def cmd_trace(args) -> None:
         tracer, args.out, note=f"{workload.name} on {config.label()}"
     )
     _print(
-        f"{workload.name} on {config.label()}: {len(tracer.records):,} spans "
+        f"{workload.name} on {config.label()}: {len(tracer):,} spans "
         f"-> {args.out} (open in ui.perfetto.dev)"
     )
     _print("")

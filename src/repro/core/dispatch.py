@@ -85,7 +85,7 @@ class FeedbackDispatcher:
         """
 
         def software_path():
-            yield self.sim.delay(self.software_cycles)
+            yield self.sim.timeout(self.software_cycles)
             return "software"
 
         if not self.should_accelerate():
@@ -98,7 +98,7 @@ class FeedbackDispatcher:
 
         def accel_path():
             ticket = yield request_event
-            yield self.sim.delay(self.accel_cycles)
+            yield self.sim.timeout(self.accel_cycles)
             self.gam.release(self.accelerator_class, ticket)
             return "accel"
 

@@ -142,7 +142,7 @@ class TileScheduler:
     ) -> None:
         tracer = self._tracer
         if tracer is not None:
-            tracer.span(start, self.system.sim.now, actor, kind, label, ref, args)
+            tracer.record(start, self.system.sim.now, actor, kind, label, ref, args)
 
     def _tag(self, task_id: str) -> str:
         """Correlation id of one task of this tile (``tenant1.t3.conv0``)."""
@@ -344,7 +344,7 @@ class TileScheduler:
         cycles = system.fallback_model.task_cycles(
             task.abb_type, task.invocations
         )
-        yield system.sim.delay(cycles)
+        yield system.sim.timeout(cycles)
         system.energy.charge(
             "sw_fallback", system.fallback_model.energy_nj(cycles)
         )

@@ -29,6 +29,7 @@ import tempfile
 import typing
 
 from repro.abb.library import ABBLibrary
+from repro.errors import ConfigError
 from repro.sim.fingerprint import canonical_value, digest
 from repro.sim.results import SimResult
 from repro.sim.run import DEFAULT_TILE_WINDOW
@@ -126,12 +127,14 @@ class ResultCache:
         try:
             with open(self._path(fingerprint)) as handle:
                 document = json.load(handle)
+            if not isinstance(document, dict):
+                raise ValueError("not a JSON object")
             if document.get("schema_version") != SCHEMA_VERSION:
                 raise ValueError("schema mismatch")
             if document.get("kind", "sim") != kind:
                 raise ValueError("kind mismatch")
             result = record_from_dict(record_class, document["result"])
-        except (OSError, ValueError, KeyError, TypeError):
+        except (OSError, ValueError, KeyError, TypeError, ConfigError):
             self.misses += 1
             return None
         self.hits += 1

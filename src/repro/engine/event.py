@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import typing
-from heapq import heappush
 
 from repro.errors import SimulationError
 
@@ -99,43 +98,11 @@ class Timeout(Event):
                 f"timeout delay must be finite and non-negative, got {delay!r}"
             )
         # Timeouts are allocated by the million; initializing the Event
-        # slots inline skips the super().__init__ call, and scheduling
-        # inline skips Simulator._schedule — its validation reduces to
-        # rejecting overflow to +inf, since delay is already checked
-        # and ``now`` is finite.
+        # slots inline skips the super().__init__ call.
         self.sim = sim
         self.value = value
         self._triggered = False
         self._scheduled = True
         self._callback = None
         self.delay = delay
-        time = sim.now + delay
-        if time >= _INF:
-            raise SimulationError(
-                f"cannot schedule at {time!r} (now={sim.now}): "
-                "times must be finite and not in the past"
-            )
-        if time == sim.now:
-            sim._lane.append(self._fire)
-        else:
-            heappush(sim._heap, (time, sim._seq, self._fire))
-        sim._seq += 1
-
-
-class PooledTimeout(Timeout):
-    """A recyclable fixed-delay event for internal hot paths.
-
-    Created via :meth:`Simulator.delay`.  The contract is strict: a
-    pooled timeout must be yielded immediately by exactly one process
-    and never retained past its firing — :class:`~.process.Process`
-    returns it to the simulator's pool the moment the generator has
-    consumed its value.  Public :meth:`Simulator.timeout` events stay
-    unpooled, so callers that hold event references are unaffected.
-    """
-
-    __slots__ = ("_fire_cb",)
-
-    def __init__(self, sim: "Simulator", delay: float, value: object = None) -> None:
-        super().__init__(sim, delay, value)
-        self._fire_cb = self._fire
-
+        sim._schedule(sim.now + delay, self._fire)

@@ -24,7 +24,7 @@ tail, DRAM -> mesh -> island.  Each is declared once, as a tuple of
 
 ``span`` is None, or ``(tracer, actor, kind)``: when the stage's wait
 ends, ``[stage start, now]`` is recorded through
-:meth:`~repro.engine.trace.Tracer.span`, labelled with the byte count.
+:meth:`~repro.engine.trace.Tracer.record`, labelled with the byte count.
 Owners build their stage tuples once, with spans only when a tracer is
 attached and a ``DMA`` stage only when the injector's DMA fault model
 is active, so an untraced, fault-free run does neither.
@@ -125,7 +125,7 @@ class Pipeline:
                 span = stages[index][2]
                 if span is not None:
                     tracer, actor, kind = span
-                    tracer.span(self._t0, sim.now, actor, kind, self.nbytes, self.ref)
+                    tracer.record(self._t0, sim.now, actor, kind, self.nbytes, self.ref)
             last = len(stages) - 1
             while True:
                 if index == last:

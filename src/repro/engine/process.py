@@ -7,16 +7,14 @@ process itself is an event that fires (with the generator's return value)
 when the body completes, so processes can wait on each other.
 
 Resumption is allocation-free on the hot path: the bound resume method is
-created once at spawn and reused as the callback for every yielded event,
-and pooled timeouts (:meth:`Simulator.delay`) are returned to the
-simulator's pool as soon as the generator has consumed their value.
+created once at spawn and reused as the callback for every yielded event.
 """
 
 from __future__ import annotations
 
 import typing
 
-from repro.engine.event import Event, PooledTimeout
+from repro.engine.event import Event
 from repro.errors import SimulationError
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -37,7 +35,6 @@ class Process(Event):
         self._generator = generator
         self._send = generator.send  # bound once; loaded on every resume
         resume = self._resume_cb = self._resume
-        sim._processes += 1
         # Kick the body off at the current time (not synchronously) so that
         # spawning order does not depend on the caller's position in a step.
         sim._lane.append(resume)
@@ -47,28 +44,17 @@ class Process(Event):
         self,
         event: typing.Optional[Event] = None,
         # Bound at definition time: _resume runs once per yield of every
-        # process, and the default-argument cell turns two global
-        # lookups into local loads.
-        _pooled: type = PooledTimeout,
+        # process, and the default-argument cell turns a global lookup
+        # into a local load.
         _event_type: type = Event,
     ) -> None:
-        if event is None:  # the spawn kick
-            send_value: object = None
-        else:
-            send_value = event.value
-            # Pooled timeouts are single-use by contract; recycle the
-            # instance the moment its value has been extracted.
-            if event.__class__ is _pooled:
-                self.sim._timeout_pool.append(event)
         try:
-            target = self._send(send_value)
+            target = self._send(None if event is None else event.value)
         except StopIteration as stop:
-            self.sim._processes -= 1
             if not self._triggered and not self._scheduled:
                 self.succeed(stop.value)
             return
         if not isinstance(target, _event_type):
-            self.sim._processes -= 1
             self._generator.close()
             raise SimulationError(
                 f"process yielded {target!r} ({type(target).__name__}); "

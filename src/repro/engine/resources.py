@@ -1,4 +1,4 @@
-"""Shared-resource primitives: semaphores, FIFO stores and bandwidth servers.
+"""Shared-resource primitives: semaphores, bandwidth servers and joins.
 
 These are the contention models used throughout the architecture
 simulation.  A :class:`BandwidthServer` is the workhorse: it models a link
@@ -67,36 +67,6 @@ class Resource:
     def queue_length(self) -> int:
         """Number of requests currently waiting."""
         return len(self._waiters)
-
-
-class Store:
-    """An unbounded FIFO queue of items with blocking ``get``."""
-
-    __slots__ = ("sim", "_items", "_getters")
-
-    def __init__(self, sim: "Simulator") -> None:
-        self.sim = sim
-        self._items: collections.deque = collections.deque()
-        self._getters: collections.deque[Event] = collections.deque()
-
-    def put(self, item: object) -> None:
-        """Deposit an item, waking the oldest blocked getter if any."""
-        if self._getters:
-            self._getters.popleft().succeed(item)
-        else:
-            self._items.append(item)
-
-    def get(self) -> Event:
-        """Return an event that fires with the next item."""
-        event = Event(self.sim)
-        if self._items:
-            event.succeed(self._items.popleft())
-        else:
-            self._getters.append(event)
-        return event
-
-    def __len__(self) -> int:
-        return len(self._items)
 
 
 class BandwidthServer:

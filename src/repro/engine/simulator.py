@@ -6,7 +6,7 @@ import typing
 from collections import deque
 from heapq import heappop, heappush
 
-from repro.engine.event import Event, PooledTimeout, Timeout
+from repro.engine.event import Event, Timeout
 from repro.errors import SimulationError
 
 _INF = float("inf")
@@ -30,16 +30,13 @@ class Simulator:
     entries scheduled so far.
     """
 
-    __slots__ = ("now", "_heap", "_lane", "_seq", "_processes", "_timeout_pool")
+    __slots__ = ("now", "_heap", "_lane", "_seq")
 
     def __init__(self) -> None:
         self.now: float = 0.0
         self._heap: list[tuple[float, int, typing.Callable[[], None]]] = []
         self._lane: deque[typing.Callable[[], None]] = deque()
         self._seq = 0
-        self._processes: int = 0  # live processes, for deadlock detection
-        # Recycled PooledTimeout instances (see Simulator.delay).
-        self._timeout_pool: list[PooledTimeout] = []
 
     def _schedule(self, time: float, callback: typing.Callable[[], None]) -> None:
         # The chained comparison rejects past times, NaN (every
@@ -62,44 +59,6 @@ class Simulator:
     def timeout(self, delay: float, value: object = None) -> Timeout:
         """Create an event that fires ``delay`` cycles from now."""
         return Timeout(self, delay, value)
-
-    def delay(self, delay: float, value: object = None) -> PooledTimeout:
-        """A pooled fixed-delay event for internal hot paths.
-
-        Semantically identical to :meth:`timeout`, but the returned
-        event is recycled once a process consumes it, eliminating the
-        per-wait allocation.  Callers must yield it immediately and
-        never retain a reference past its firing; code that holds
-        timeout objects should use :meth:`timeout`.
-        """
-        pool = self._timeout_pool
-        if not pool:
-            return PooledTimeout(self, delay, value)
-        # Re-arm inline (same checks as Timeout.__init__): this is the
-        # single hottest allocation site in a simulation, and the extra
-        # _reinit call was measurable.
-        if not (0.0 <= delay < _INF):
-            raise SimulationError(
-                f"timeout delay must be finite and non-negative, got {delay!r}"
-            )
-        recycled = pool.pop()
-        recycled.delay = delay
-        recycled.value = value
-        recycled._triggered = False
-        recycled._scheduled = True
-        recycled._callback = None
-        time = self.now + delay
-        if time >= _INF:
-            raise SimulationError(
-                f"cannot schedule at {time!r} (now={self.now}): "
-                "times must be finite and not in the past"
-            )
-        if time == self.now:
-            self._lane.append(recycled._fire_cb)
-        else:
-            heappush(self._heap, (time, self._seq, recycled._fire_cb))
-        self._seq += 1
-        return recycled
 
     def process(self, generator: typing.Generator) -> "Process":
         """Spawn a new process running ``generator``."""

@@ -100,82 +100,27 @@ class TraceRecord:
 class Tracer:
     """Collects timestamped spans during a simulation run.
 
-    Hot-path storage is a list of plain span tuples ``(start, end,
-    actor, kind, label, ref, args)``; :class:`TraceRecord` objects are
-    materialized lazily the first time :attr:`records` is read (queries,
-    exports, tests), so a traced simulation never pays per-span object
-    construction inside the event loop.  Simulation hot paths record
-    through :meth:`span`; everything else goes through :meth:`record`.
+    A trace is one list, :attr:`spans`, of plain span tuples ``(start,
+    end, actor, kind, label, ref, args)`` in record order, so a traced
+    simulation never pays per-span object construction inside the
+    event loop.  :attr:`records` builds :class:`TraceRecord` objects
+    from it on each read, for queries and tests.
     """
 
-    __slots__ = ("_spans", "_records", "_materialized", "_names")
+    __slots__ = ("spans", "_names")
 
     def __init__(self) -> None:
-        # Raw span tuples in record order — the hot-path storage.
-        self._spans: list = []
-        # Materialized TraceRecord cache; None until .records is read.
-        self._records: typing.Optional[list] = None
-        # How many _spans entries are already in the cache.
-        self._materialized = 0
+        # Span tuples in record order; the one store of the trace.
+        self.spans: list = []
         # Interned actor and label strings, by key (see name()).
         self._names: dict = {}
 
     @property
     def records(self) -> list:
-        """The spans as :class:`TraceRecord` objects.
-
-        Materialized lazily and cached: the same list object is
-        returned on every access (so appending to it works), and spans
-        recorded after an access are appended to it on the next one.
-        """
-        recs = self._records
-        spans = self._spans
-        if recs is None:
-            recs = self._records = [TraceRecord(*span) for span in spans]
-            self._materialized = len(spans)
-        elif self._materialized != len(spans):
-            recs.extend(
-                TraceRecord(*span) for span in spans[self._materialized :]
-            )
-            self._materialized = len(spans)
-        return recs
-
-    def _raw_spans(self) -> list:
-        """Span tuples for internal consumers (critical-path analysis).
-
-        Returns the hot-path tuple list directly; when records were
-        appended to :attr:`records` by hand (bypassing :meth:`record`),
-        the tuples are re-derived so nothing is missed.
-        """
-        recs = self._records
-        if recs is not None and len(recs) != self._materialized:
-            return [
-                (r.start, r.end, r.actor, r.kind, r.label, r.ref, r.args)
-                for r in self.records
-            ]
-        return self._spans
+        """The spans as :class:`TraceRecord` objects, built on each read."""
+        return [TraceRecord(*span) for span in self.spans]
 
     def record(
-        self,
-        start: float,
-        end: float,
-        actor: str,
-        kind: str,
-        label: str = "",
-        ref: str = "",
-        args: typing.Optional[typing.Mapping[str, typing.Any]] = None,
-        # Default-argument cell: record() runs once per span on traced
-        # runs, and it turns two global lookups into local loads.
-        _inf: float = _INF,
-    ) -> None:
-        """Append one span."""
-        # The TraceRecord constructor runs only to raise its precise
-        # validation error; valid spans stay tuples until materialized.
-        if not (-_inf < start <= end < _inf):
-            TraceRecord(start, end, actor, kind, label, ref, args)
-        self._spans.append((start, end, actor, kind, label, ref, args))
-
-    def span(
         self,
         start: float,
         end: float,
@@ -184,19 +129,26 @@ class Tracer:
         label: typing.Any = "",
         ref: str = "",
         args: typing.Optional[typing.Mapping[str, typing.Any]] = None,
+        # Default-argument cell: record() runs once per span on traced
+        # runs, and it turns a global lookup into a local load.
+        _inf: float = _INF,
     ) -> None:
-        """Append one span from a simulation hot path.
+        """Append one span.
 
         ``actor`` and ``label`` are strings or :meth:`name` keys, so a
-        site formats each distinct name once.  Unlike :meth:`record`
-        there is no validation: spans taken from the monotone
-        simulation clock always satisfy ``start <= end``.
+        hot-path site formats each distinct name once.  A span whose
+        times are not finite or end before they start raises
+        :class:`~repro.errors.ConfigError`.
         """
+        # The TraceRecord constructor runs only to raise its precise
+        # validation error; valid spans are stored as tuples.
+        if not (-_inf < start <= end < _inf):
+            TraceRecord(start, end, actor, kind, label, ref, args)
         if actor.__class__ is not str:
             actor = self.name(actor)
         if label.__class__ is not str:
             label = self.name(label)
-        self._spans.append((start, end, actor, kind, label, ref, args))
+        self.spans.append((start, end, actor, kind, label, ref, args))
 
     def name(self, key: typing.Any) -> str:
         """The interned string for ``key``: a byte count becomes
@@ -226,28 +178,25 @@ class Tracer:
 
     def actors(self) -> list:
         """Distinct actors, in first-seen order."""
-        seen: dict[str, None] = {}
-        for r in self.records:
-            seen.setdefault(r.actor, None)
-        return list(seen)
+        return list(dict.fromkeys(span[2] for span in self.spans))
 
     def end_time(self) -> float:
         """Latest span end (0 when empty)."""
-        return max((r.end for r in self.records), default=0.0)
+        return max((span[1] for span in self.spans), default=0.0)
 
     # -------------------------------------------------------------- summary
     def busy_cycles(self) -> dict[str, float]:
         """Total span duration per actor (overlaps counted twice)."""
         out: dict[str, float] = {}
-        for r in self.records:
-            out[r.actor] = out.get(r.actor, 0.0) + r.duration
+        for start, end, actor, *_ in self.spans:
+            out[actor] = out.get(actor, 0.0) + (end - start)
         return out
 
     def kind_cycles(self) -> dict[str, float]:
         """Total span duration per kind."""
         out: dict[str, float] = {}
-        for r in self.records:
-            out[r.kind] = out.get(r.kind, 0.0) + r.duration
+        for start, end, _actor, kind, *_ in self.spans:
+            out[kind] = out.get(kind, 0.0) + (end - start)
         return out
 
     def hotspots(self, top: int = 5) -> list:
@@ -281,17 +230,17 @@ class Tracer:
         chosen = list(actors) if actors is not None else self.actors()
         label_width = max((len(a) for a in chosen), default=0) + 1
         scale = width / end
-        # One pass over the records fills every chosen actor's row; the
+        # One pass over the spans fills every chosen actor's row; the
         # old per-actor `by_actor` rescans made rendering O(actors x
-        # records), which dominated on serve-sized traces.
+        # spans), which dominated on serve-sized traces.
         cells_by_actor: dict[str, list] = {a: ["."] * width for a in chosen}
-        for rec in self.records:
-            cells = cells_by_actor.get(rec.actor)
+        for start, end, actor, kind, *_ in self.spans:
+            cells = cells_by_actor.get(actor)
             if cells is None:
                 continue
-            lo = min(width - 1, int(rec.start * scale))
-            hi = min(width, max(lo + 1, int(rec.end * scale)))
-            symbol = symbols.get(rec.kind, "#")
+            lo = min(width - 1, int(start * scale))
+            hi = min(width, max(lo + 1, int(end * scale)))
+            symbol = symbols.get(kind, "#")
             for i in range(lo, hi):
                 cells[i] = symbol
         rows = [
@@ -308,4 +257,4 @@ class Tracer:
         return "\n".join([header] + rows)
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.spans)

@@ -154,23 +154,25 @@ class Island:
         # standing for the DMA engine.  With a tracer attached each leg
         # records a span; with the DMA fault model active the DMA leg
         # stalls, drops and retries.
-        def span(suffix: str, kind: str):
+        def stage_span(suffix: str, kind: str):
             if tracer is None:
                 return None
             return (tracer, f"island{island_id}.{suffix}", kind)
 
         if fault_injector is not None and fault_injector.spec.dma_faults_enabled:
-            dma = (DMA, (self.dma, fault_injector, island_id), span("dma", "dma"))
+            dma = (
+                DMA, (self.dma, fault_injector, island_id), stage_span("dma", "dma")
+            )
         else:
-            dma = (LEG, self.dma, span("dma", "dma"))
-        net = (HOOK, self._network_leg, span("net", "spm_net"))
+            dma = (LEG, self.dma, stage_span("dma", "dma"))
+        net = (HOOK, self._network_leg, stage_span("net", "spm_net"))
         read = (HOOK, self._spm_read, None)
         write = (HOOK, self._spm_write, None)
         self._ingress_path = (
-            (LEG, self.noc_in, span("noc_in", "noc_if")), dma, net, write
+            (LEG, self.noc_in, stage_span("noc_in", "noc_if")), dma, net, write
         )
         self._egress_path = (
-            read, net, dma, (LEG, self.noc_out, span("noc_out", "noc_if"))
+            read, net, dma, (LEG, self.noc_out, stage_span("noc_out", "noc_if"))
         )
         self._chain_path = (read, net, write)
 
@@ -346,7 +348,7 @@ class Island:
         cycles = abb.abb_type.compute_cycles(invocations)
         cycles *= 1.0 + group.conflict_penalty()
         self.energy.charge("abb", abb.abb_type.dynamic_energy_nj(invocations))
-        return self.sim.delay(cycles, invocations)
+        return self.sim.timeout(cycles, invocations)
 
     # ------------------------------------------------------------ physicals
     def area_breakdown_mm2(self) -> dict[str, float]:

@@ -75,7 +75,7 @@ class MemoryController:
         start = channel.sim.now
         result = channel.transfer_analytic(nbytes)
         if self.tracer is not None:
-            self.tracer.span(
+            self.tracer.record(
                 start, channel.last_done, self._span_actor, "mem", nbytes, ref
             )
         return result

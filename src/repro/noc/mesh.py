@@ -186,7 +186,7 @@ class MeshNoC:
 
     def _trace_arrival(self, run: Pipeline) -> None:
         _router_cycles, issued, src, dst, hops = run.ctx
-        self.tracer.span(
+        self.tracer.record(
             issued,
             run.sim.now,
             ("mesh.{},{}->{},{}", src.x, src.y, dst.x, dst.y),

@@ -163,11 +163,10 @@ class _Node:
         self.leaves: list = []
 
 
-# The analyzer walks the tracer's raw span tuples rather than
-# materialized TraceRecord objects — attribution runs inside every
-# traced run_workload call, and the tuple path skips one object
-# construction per span.  Tuple layout (see Tracer._spans):
-# (start, end, actor, kind, label, ref, args).
+# The analyzer walks the tracer's span tuples rather than TraceRecord
+# objects — attribution runs inside every traced run_workload call, and
+# the tuple path skips one object construction per span.  Tuple layout
+# (see Tracer.spans): (start, end, actor, kind, label, ref, args).
 _START, _END, _ACTOR, _KIND, _LABEL, _REF, _ARGS = range(7)
 
 
@@ -175,7 +174,7 @@ def _build_nodes(tracer: Tracer) -> dict[str, _Node]:
     nodes: dict[str, _Node] = {}
     get = nodes.get
     kind_category = _KIND_CATEGORY
-    for rec in tracer._raw_spans():
+    for rec in tracer.spans:
         ref = rec[_REF]
         if not ref:
             continue
@@ -402,7 +401,7 @@ def category_cycles_by_tenant(tracer: Tracer) -> dict[str, dict[str, float]]:
     from the ``tenant`` arg the scheduler stamps on task spans; refs
     with no tenant group under ``""``.
     """
-    spans = tracer._raw_spans()
+    spans = tracer.spans
     tenant_of: dict[str, str] = {}
     for rec in spans:
         if rec[_KIND] == "task":

@@ -45,7 +45,8 @@ def trace_events(tracer: Tracer) -> list[dict]:
     of record order (sorted by name), so two traces of the same run are
     byte-identical.
     """
-    actors = sorted({rec.actor for rec in tracer.records})
+    spans = tracer.spans
+    actors = sorted({span[2] for span in spans})
     processes = sorted({_process_of(actor) for actor in actors})
     pid_of = {process: index + 1 for index, process in enumerate(processes)}
     tid_of = {actor: index + 1 for index, actor in enumerate(actors)}
@@ -71,24 +72,24 @@ def trace_events(tracer: Tracer) -> list[dict]:
                 "args": {"name": actor},
             }
         )
-    for rec in tracer.records:
+    for start, end, actor, kind, label, ref, span_args in spans:
         args: dict = {}
-        if rec.ref:
-            args["ref"] = rec.ref
-        if rec.label:
-            args["label"] = rec.label
-        if rec.args:
-            for key, value in rec.args.items():
+        if ref:
+            args["ref"] = ref
+        if label:
+            args["label"] = label
+        if span_args:
+            for key, value in span_args.items():
                 args[str(key)] = value
         events.append(
             {
                 "ph": "X",
-                "name": f"{rec.kind}:{rec.ref}" if rec.ref else rec.kind,
-                "cat": rec.kind,
-                "ts": rec.start,
-                "dur": rec.duration,
-                "pid": pid_of[_process_of(rec.actor)],
-                "tid": tid_of[rec.actor],
+                "name": f"{kind}:{ref}" if ref else kind,
+                "cat": kind,
+                "ts": start,
+                "dur": end - start,
+                "pid": pid_of[_process_of(actor)],
+                "tid": tid_of[actor],
                 "args": args,
             }
         )
@@ -134,7 +135,7 @@ def trace_document(tracer: Tracer, note: str = "") -> dict:
         "otherData": {
             "schema_version": TRACE_SCHEMA_VERSION,
             "clock": "simulated cycles as microsecond ticks",
-            "spans": len(tracer.records),
+            "spans": len(tracer),
             "note": note,
         },
     }

@@ -223,7 +223,7 @@ def run_serve(
         if state.sw_read_bytes > 0:
             yield system.memory.access(state.sw_read_bytes, tile_id, ref)
         compute_start = sim.now
-        yield sim.delay(state.sw_cycles)
+        yield sim.timeout(state.sw_cycles)
         system.energy.charge(
             "sw_fallback", system.fallback_model.energy_nj(state.sw_cycles)
         )
@@ -249,7 +249,7 @@ def run_serve(
 
     def tenant_stream(index: int, state: _TenantState, times: list[float]):
         for request_index, arrival in enumerate(times):
-            yield sim.delay(arrival - sim.now)
+            yield sim.timeout(arrival - sim.now)
             state.offered += 1
             tile_id = index * TENANT_TILE_STRIDE + request_index
             decision, estimate = frontend.decide(state.graph, state.sw_cycles)

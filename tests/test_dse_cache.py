@@ -14,6 +14,7 @@ from repro.faults import FaultSpec
 from repro.island import NetworkKind, SpmDmaNetworkConfig, SpmPorting
 from repro.sim.fingerprint import canonical_value, digest
 from repro.sim.run import run_workload
+from repro.sim.serialize import SCHEMA_VERSION
 from repro.sim.system import SystemConfig
 from repro.workloads import get_workload, scale_workload
 
@@ -183,6 +184,26 @@ class TestResultCache:
         with open(path, "w") as handle:
             json.dump(document, handle)
         assert cache.get(fingerprint) is None
+
+    @pytest.mark.parametrize(
+        "document",
+        [
+            [1],
+            {"schema_version": SCHEMA_VERSION, "kind": "sim", "result": {}},
+            {"schema_version": SCHEMA_VERSION, "kind": "serve", "result": {}},
+        ],
+        ids=["not-an-object", "sim-result-missing-fields", "serve-result-missing-fields"],
+    )
+    def test_malformed_document_is_a_miss(self, tmp_path, document):
+        cache = ResultCache(str(tmp_path))
+        fingerprint = "12" + "0" * 62
+        os.makedirs(os.path.join(str(tmp_path), "12"))
+        path = os.path.join(str(tmp_path), "12", f"{fingerprint}.json")
+        with open(path, "w") as handle:
+            json.dump(document, handle)
+        assert cache.get(fingerprint) is None
+        assert cache.get_serve(fingerprint) is None
+        assert (cache.hits, cache.misses) == (0, 2)
 
     def test_len_on_missing_dir(self, tmp_path):
         assert len(ResultCache(str(tmp_path / "nope"))) == 0

@@ -81,6 +81,39 @@ class TestParallelSweep:
             run_points([], jobs=0)
 
 
+class TestReferenceSweep:
+    """The 12-point reference sweep: Denoise at 64 tiles over four island
+    counts and three SPM<->DMA networks."""
+
+    SPACE = DesignSpace(
+        island_counts=(3, 6, 12, 24),
+        networks=(
+            SpmDmaNetworkConfig(kind=NetworkKind.PROXY_CROSSBAR),
+            SpmDmaNetworkConfig(
+                kind=NetworkKind.RING, link_width_bytes=32, rings=1
+            ),
+            SpmDmaNetworkConfig(
+                kind=NetworkKind.RING, link_width_bytes=32, rings=2
+            ),
+        ),
+    )
+
+    def sweep(self, cache, jobs):
+        explorer = Explorer(
+            [get_workload("Denoise", tiles=64)], cache=cache, jobs=jobs
+        )
+        return explorer.sweep(self.SPACE), explorer
+
+    def test_serial_parallel_and_warm_rows_equal(self, tmp_path):
+        serial, _ = self.sweep(None, jobs=1)
+        cold, _ = self.sweep(ResultCache(str(tmp_path)), jobs=4)
+        warm, warm_explorer = self.sweep(ResultCache(str(tmp_path)), jobs=4)
+        assert len(serial) == len(cold) == len(warm) == self.SPACE.size() == 12
+        for a, b, c in zip(serial, cold, warm):
+            assert a.result == b.result == c.result
+        assert warm_explorer.simulations_run == 0
+
+
 def SystemConfigAt(space):
     """First design point of a space (helper for memo test)."""
     from repro.dse import design_points

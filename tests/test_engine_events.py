@@ -109,7 +109,7 @@ def test_event_triggered_flag():
 def test_hot_path_classes_are_slotted():
     """Event-loop objects are allocated per transfer/grant; they must
     stay ``__slots__``-based (no per-instance ``__dict__``)."""
-    from repro.engine import AllOf, Resource, Store
+    from repro.engine import AllOf, Resource
 
     sim = Simulator()
     instances = [
@@ -117,7 +117,6 @@ def test_hot_path_classes_are_slotted():
         sim.timeout(1.0),
         sim.process(x for x in []),
         Resource(sim),
-        Store(sim),
         AllOf(sim, []),
     ]
     for obj in instances:
@@ -161,7 +160,7 @@ class _HeapOnlySim:
 
 #: How a node schedules a child: a kind and a delay (ignored by the
 #: kinds that always fire at ``now``).
-SCHEDULE_KINDS = ["succeed", "timeout", "delay", "schedule", "process", "pipeline"]
+SCHEDULE_KINDS = ["succeed", "timeout", "schedule", "process", "pipeline"]
 
 lane_programs = st.lists(
     st.tuples(
@@ -203,8 +202,6 @@ def _run_engine(program, until):
             event.succeed()
         elif kind == "timeout":
             sim.timeout(delay).add_callback(call)
-        elif kind == "delay":
-            sim.delay(delay).add_callback(call)
         elif kind == "schedule":
             sim._schedule(sim.now + delay, call)
         elif kind == "process":
@@ -242,7 +239,7 @@ def _run_reference(program, until):
 
         if kind == "succeed":
             ref.schedule(now, call)
-        elif kind in ("timeout", "delay", "schedule"):
+        elif kind in ("timeout", "schedule"):
             ref.schedule(now + delay, call)
         elif kind == "process":
             # Kick, then the timeout; the body returns and the process
@@ -272,7 +269,7 @@ def _run_reference(program, until):
 @settings(max_examples=300, deadline=None)
 @given(program=lane_programs, until=st.sampled_from([0.0, 1.0, 2.5, 3.0]))
 def test_same_time_lane_keeps_time_seq_order(program, until):
-    """Random mixes of succeed(), timeout(0), delay(0), _schedule(now),
+    """Random mixes of succeed(), timeout(0), _schedule(now),
     process and pipeline kicks and future entries fire in exactly the
     ``(time, seq)`` order of a heap-only simulator; ``peek()`` (also
     while same-time entries are pending), ``run(until=...)`` and the

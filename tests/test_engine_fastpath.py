@@ -3,9 +3,8 @@
 Covers the analytic bandwidth-server shortcut (and its fall-back to the
 exact queued model under contention), the stage interpreter that runs
 every data path, AllOf edge cases around triggered and duplicated
-children, Store get-before-put determinism, non-finite time rejection
-in every scheduling entry point, the pooled-timeout recycle path, and
-the lazy span materialization of the tracer.
+children, non-finite time rejection in every scheduling entry point,
+and the tracer's one span list.
 """
 
 import pytest
@@ -20,9 +19,7 @@ from repro.engine import (
     Event,
     Pipeline,
     Simulator,
-    Store,
 )
-from repro.engine.event import PooledTimeout
 from repro.engine.trace import TraceRecord, Tracer
 from repro.errors import ConfigError, SimulationError
 from repro.faults import DMA_DROP, DMA_STALL, FaultInjector, parse_fault_spec
@@ -69,7 +66,7 @@ class TestTransferAnalytic:
                     )
                     if isinstance(result, float):
                         log.append(result)
-                        yield sim.delay(result - sim.now)
+                        yield sim.timeout(result - sim.now)
                     else:
                         yield result
                         log.append(sim.now)
@@ -150,17 +147,17 @@ class TestPipeline:
 
         def body(ref, nbytes):
             yield leg.transfer(nbytes)
-            yield sim.delay(5.0)
+            yield sim.timeout(5.0)
             attempt = 0
             while True:
                 outcome = injector.dma_outcome(0)
                 if outcome == DMA_STALL:
                     injector.stats.dma_stalls += 1
-                    yield sim.delay(spec.dma_stall_cycles)
+                    yield sim.timeout(spec.dma_stall_cycles)
                 elif outcome == DMA_DROP:
                     if attempt < spec.dma_max_retries:
                         injector.stats.dma_retries += 1
-                        yield sim.delay(injector.dma_retry_delay(attempt))
+                        yield sim.timeout(injector.dma_retry_delay(attempt))
                         attempt += 1
                         continue
                     injector.stats.dma_forced_recoveries += 1
@@ -225,16 +222,16 @@ class TestPipeline:
 
 class TestTracerSpan:
     def test_span_equals_record(self):
-        """Hot-path spans materialize exactly as record() spans do."""
+        """Spans recorded with name keys equal spans recorded with strings."""
         fast, slow = Tracer(), Tracer()
-        fast.span(0.0, 4.0, "mc0", "mem", 64.0, "t1.a")
-        fast.span(1.0, 2.0, ("mesh.{},{}->{},{}", 0, 1, 2, 3), "noc", ("{:g}B/{}h", 48.0, 4))
-        fast.span(2.0, 5.0, "island0.slot1", "compute", "t1.a", "t1.a", {"invocations": 3})
+        fast.record(0.0, 4.0, "mc0", "mem", 64.0, "t1.a")
+        fast.record(1.0, 2.0, ("mesh.{},{}->{},{}", 0, 1, 2, 3), "noc", ("{:g}B/{}h", 48.0, 4))
+        fast.record(2.0, 5.0, "island0.slot1", "compute", "t1.a", "t1.a", {"invocations": 3})
         slow.record(0.0, 4.0, "mc0", "mem", "64B", "t1.a")
         slow.record(1.0, 2.0, "mesh.0,1->2,3", "noc", "48B/4h")
         slow.record(2.0, 5.0, "island0.slot1", "compute", "t1.a", "t1.a", {"invocations": 3})
         assert fast.records == slow.records
-        assert fast._raw_spans() == slow._raw_spans()
+        assert fast.spans == slow.spans
 
     def test_names_formatted_once(self):
         tracer = Tracer()
@@ -286,42 +283,6 @@ class TestAllOfEdgeCases:
         assert join.value == ["slow", "quick"]
 
 
-class TestStoreDeterminism:
-    def test_getters_before_puts_fifo(self):
-        """Blocked getters are served in arrival order, not put order."""
-        sim = Simulator()
-        store = Store(sim)
-        log = []
-
-        def getter(tag):
-            item = yield store.get()
-            log.append((tag, item, sim.now))
-
-        def putter():
-            yield sim.timeout(1.0)
-            store.put("first")
-            yield sim.timeout(1.0)
-            store.put("second")
-
-        sim.process(getter("g0"))
-        sim.process(getter("g1"))
-        sim.process(putter())
-        sim.run()
-        assert log == [("g0", "first", 1.0), ("g1", "second", 2.0)]
-
-    def test_interleaved_get_put_get(self):
-        sim = Simulator()
-        store = Store(sim)
-        blocked = store.get()
-        store.put("a")  # wakes the blocked getter, bypassing the queue
-        store.put("b")  # queued: nobody waiting
-        ready = store.get()
-        sim.run()
-        assert blocked.triggered and blocked.value == "a"
-        assert ready.triggered and ready.value == "b"
-        assert len(store) == 0
-
-
 class TestNonFiniteRejection:
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_schedule_rejects_non_finite(self, bad):
@@ -335,23 +296,22 @@ class TestNonFiniteRejection:
         with pytest.raises(SimulationError, match="finite and non-negative"):
             sim.timeout(bad)
 
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
-    def test_pooled_delay_rejects_bad_delay_fresh_and_recycled(self, bad):
-        sim = Simulator()
-        # Fresh path (empty pool) goes through PooledTimeout.__init__.
-        with pytest.raises(SimulationError, match="finite and non-negative"):
-            sim.delay(bad)
+    def test_timeout_schedules_through_schedule(self):
+        """Simulator._schedule is the one entry point of a timed entry."""
+        calls = []
 
-        # Prime the pool: a consumed delay is recycled by Process._resume.
-        def body():
-            yield sim.delay(1.0)
+        class Recording(Simulator):
+            __slots__ = ()
 
-        sim.process(body())
-        sim.run()
-        assert sim._timeout_pool  # the recycle happened
-        # Recycled path re-arms inline and must apply the same checks.
-        with pytest.raises(SimulationError, match="finite and non-negative"):
-            sim.delay(bad)
+            def _schedule(self, time, callback):
+                calls.append(time)
+                super()._schedule(time, callback)
+
+        sim = Recording()
+        sim.timeout(0.0)
+        sim.timeout(2.5)
+        assert calls == [0.0, 2.5]
+        assert sim._seq == 2
 
     def test_timeout_overflow_to_inf_rejected(self):
         big = 1e308
@@ -362,24 +322,8 @@ class TestNonFiniteRejection:
 
 
 class TestPooledTimeoutRecycling:
-    def test_consumed_delay_instance_is_reused(self):
-        sim = Simulator()
-        seen = []
-
-        def body():
-            first = sim.delay(1.0)
-            seen.append(first)
-            yield first
-            second = sim.delay(1.0)
-            seen.append(second)
-            yield second
-
-        sim.process(body())
-        sim.run()
-        assert isinstance(seen[0], PooledTimeout)
-        assert seen[0] is seen[1]  # same object, re-armed from the pool
-
     def test_public_timeout_never_pooled(self):
+        """Every wait is a fresh Timeout: a held one keeps its value."""
         sim = Simulator()
 
         def body():
@@ -392,17 +336,17 @@ class TestPooledTimeoutRecycling:
 
         sim.process(body())
         sim.run()
-        assert not sim._timeout_pool
 
 
 class TestLazyTracerMaterialization:
-    def test_records_materialized_once_and_cached(self):
+    def test_records_built_from_spans_on_each_read(self):
         tracer = Tracer()
         tracer.record(0.0, 1.0, "a", "compute")
-        assert tracer._records is None  # nothing materialized yet
         first = tracer.records
-        assert first is tracer.records  # same list object on re-access
-        assert isinstance(first[0], TraceRecord)
+        assert first == [TraceRecord(0.0, 1.0, "a", "compute")]
+        first.append(TraceRecord(1.0, 2.0, "b", "mem"))  # a copy, not the trace
+        assert tracer.records == [TraceRecord(0.0, 1.0, "a", "compute")]
+        assert tracer.spans == [(0.0, 1.0, "a", "compute", "", "", None)]
 
     def test_spans_recorded_after_access_appear(self):
         tracer = Tracer()
@@ -412,14 +356,6 @@ class TestLazyTracerMaterialization:
         recs = tracer.records
         assert [r.actor for r in recs] == ["a", "b"]
         assert len(tracer) == 2
-
-    def test_external_append_to_records_visible_to_raw_spans(self):
-        tracer = Tracer()
-        tracer.record(0.0, 1.0, "a", "compute")
-        tracer.records.append(TraceRecord(1.0, 2.0, "b", "mem"))
-        spans = tracer._raw_spans()
-        assert [s[2] for s in spans] == ["a", "b"]
-        assert tracer.end_time() == 2.0
 
     def test_record_validation_errors_preserved(self):
         tracer = Tracer()

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.engine import AllOf, BandwidthServer, Resource, Simulator, Store
+from repro.engine import AllOf, BandwidthServer, Resource, Simulator
 from repro.errors import CapacityError, ConfigError
 
 
@@ -69,47 +69,6 @@ class TestResource:
         res.request()
         sim.run()
         assert res.queue_length == 2
-
-
-class TestStore:
-    def test_put_then_get(self):
-        sim = Simulator()
-        store = Store(sim)
-        store.put("x")
-        got = []
-        store.get().add_callback(lambda e: got.append(e.value))
-        sim.run()
-        assert got == ["x"]
-
-    def test_get_blocks_until_put(self):
-        sim = Simulator()
-        store = Store(sim)
-        got = []
-
-        def consumer():
-            item = yield store.get()
-            got.append((item, sim.now))
-
-        def producer():
-            yield sim.timeout(7.0)
-            store.put("late")
-
-        sim.process(consumer())
-        sim.process(producer())
-        sim.run()
-        assert got == [("late", 7.0)]
-
-    def test_fifo_item_order(self):
-        sim = Simulator()
-        store = Store(sim)
-        for item in [1, 2, 3]:
-            store.put(item)
-        got = []
-        for _ in range(3):
-            store.get().add_callback(lambda e: got.append(e.value))
-        sim.run()
-        assert got == [1, 2, 3]
-        assert len(store) == 0
 
 
 class TestBandwidthServer:

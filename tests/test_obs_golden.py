@@ -7,11 +7,13 @@ exact golden values, plus field-by-field equality of traced vs untraced
 results for both batch and serving paths.
 """
 
+import hashlib
 from dataclasses import replace
 
 import pytest
 
 from repro.engine.trace import Tracer
+from repro.obs import write_trace
 from repro.serve import ArrivalConfig, ServeConfig, make_tenants, run_serve
 from repro.sim import SystemConfig, run_workload
 from repro.sim.serialize import record_to_dict
@@ -76,3 +78,19 @@ def test_traced_serve_equals_untraced():
         if key.startswith("attr.")
     }
     assert sum(attr.values()) == pytest.approx(1.0)
+
+
+def test_exported_trace_bytes_pinned(tmp_path):
+    """The Perfetto export of one DMA-faulted golden run, byte for byte."""
+    tracer = Tracer()
+    run_workload(
+        golden_config("xbar", dma_faults=True),
+        get_workload("Denoise", tiles=4),
+        tracer=tracer,
+    )
+    path = tmp_path / "trace.json"
+    write_trace(tracer, str(path))
+    assert len(tracer) == 356
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "70d50dc911bf8c2a399f1508e83f081556ad1636ed3c6f4a47438001f775fc8b"
+    )

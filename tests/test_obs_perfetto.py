@@ -75,8 +75,8 @@ class TestTraceEvents:
         # pid/tid come from sorted names, not record order.
         a = trace_events(make_tracer())
         reordered = Tracer()
-        for rec in reversed(make_tracer().records):
-            reordered.records.append(rec)
+        for span in reversed(make_tracer().spans):
+            reordered.record(*span)
         b = trace_events(reordered)
         meta_a = [e for e in a if e["ph"] == "M"]
         meta_b = [e for e in b if e["ph"] == "M"]

@@ -330,11 +330,11 @@ class TestServeSession:
 
 
 class TestAdmissionImpact:
-    def test_wait_threshold_beats_always_hw_on_bursty_tail(self):
-        # The ISSUE acceptance point: at 0.8x measured saturation with
-        # bursty arrivals, wait-time-feedback admission strictly lowers
-        # p99 latency versus always-hardware, by diverting burst excess
-        # to the software path (nonzero fallbacks).
+    """The reference bursty session: four ``rpc`` tenants with on-off
+    arrivals at 0.8x measured saturation on the slot-constrained island."""
+
+    @pytest.fixture(scope="class")
+    def bursty(self):
         config = tiny_system()
         saturation = estimate_saturation(config, [RPC] * 4)
         rate = 0.8 * saturation / 4
@@ -351,7 +351,13 @@ class TestAdmissionImpact:
             duration_cycles=1_000_000.0,
             seed=1,
         )
-        baseline = run_serve(config, serve)
+        return config, serve, run_serve(config, serve)
+
+    def test_wait_threshold_beats_always_hw_on_bursty_tail(self, bursty):
+        # Wait-time-feedback admission strictly lowers p99 latency
+        # versus always-hardware, by diverting burst excess to the
+        # software path (nonzero fallbacks).
+        config, serve, baseline = bursty
         feedback = run_serve(
             config, serve.with_policy(AdmissionConfig("wait_threshold"))
         )
@@ -359,6 +365,17 @@ class TestAdmissionImpact:
         assert feedback.sw_fallbacks > 0
         assert feedback.latency_p99 < baseline.latency_p99
         assert feedback.offered == baseline.offered  # same arrival sample
+
+    def test_bursty_session_repeats_identically(self, bursty):
+        config, serve, baseline = bursty
+        assert run_serve(config, serve) == baseline
+
+    def test_cached_bursty_result_equals_fresh(self, bursty, tmp_path):
+        config, serve, baseline = bursty
+        cache = ResultCache(str(tmp_path))
+        fingerprint = serve_point_fingerprint(config, serve)
+        cache.put_serve(fingerprint, baseline)
+        assert cache.get_serve(fingerprint) == baseline
 
 
 # ------------------------------------------------------------ serialization

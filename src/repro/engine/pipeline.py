@@ -7,10 +7,9 @@ tail, DRAM -> mesh -> island.  Each is declared once, as a tuple of
 ``(kind, operand, span)``:
 
 * ``(LEG, server, span)`` — one transfer of ``run.nbytes`` through a
-  :class:`~repro.engine.resources.BandwidthServer` via
-  :meth:`~repro.engine.resources.BandwidthServer.transfer_analytic`: a
-  float completion time while the server is idle, the exact queued
-  Event under contention;
+  :class:`~repro.engine.resources.BandwidthServer`: the wait ends at the
+  completion time :meth:`~repro.engine.resources.BandwidthServer.reserve`
+  returns, queued behind the server's backlog;
 * ``(DELAY, cycles, span)`` — a fixed delay;
 * ``(DMA, (server, injector, island_id), span)`` — a DMA leg under the
   :class:`~repro.faults.FaultInjector`'s stall/drop model: each attempt
@@ -29,14 +28,14 @@ Owners build their stage tuples once, with spans only when a tracer is
 attached and a ``DMA`` stage only when the injector's DMA fault model
 is active, so an untraced, fault-free run does neither.
 
-Every wait follows one protocol: a **float** is a completion time known
-in closed form, for which the pipeline schedules its own wake-up; an
-**Event** is the exact model's, and the pipeline resumes from its
-callback.  Either way a wait is one scheduled entry at the same time,
-so a path runs bit-identically whichever of its legs the analytic
-shortcut answers.  With the kick at construction and the final
-``succeed``, a run schedules exactly the entries of the generator
-process that would spell the same path out with one ``yield`` per wait.
+Every wait follows one protocol: a **float** is a completion time, for
+which the pipeline schedules its own wake-up; an **Event** (a nested
+pipeline, a mesh transfer) is waited on through its callback.  Either
+way a wait is one scheduled entry, at the time and in the order a
+generator's ``yield server.transfer(n)`` would schedule it.  With the
+kick at construction and the final ``succeed``, a run schedules exactly
+the entries of the generator process that would spell the same path
+out with one ``yield`` per wait.
 """
 
 from __future__ import annotations
@@ -56,18 +55,14 @@ LEG, DELAY, DMA, HOOK = range(4)
 _STALLED = -1
 
 
-def as_event(
-    sim: "Simulator", result: typing.Union[float, Event], value: object = None
-) -> Event:
-    """The Event form of a wait: ``result`` itself if it is an Event,
-    else a new event firing with ``value`` at the float time ``result``
-    (one scheduled entry, exactly as the exact queued model schedules)."""
-    if result.__class__ is not float:
-        return result
+def as_event(sim: "Simulator", time: float, value: object = None) -> Event:
+    """The Event form of a float wait: a new event firing with ``value``
+    at ``time`` (one scheduled entry, where a pipeline would schedule
+    its own wake-up)."""
     event = Event(sim)
     event.value = value
     event._scheduled = True
-    sim._schedule(result, event._fire)
+    sim._schedule(time, event._fire)
     return event
 
 
@@ -77,7 +72,7 @@ class Pipeline:
     ``ctx`` carries the path's per-run parameters (slots, stream ids)
     for its hooks.  ``start`` is when the first stage starts: None for
     the kick (now, but through the same-time lane, so issue order cannot
-    perturb same-time event ordering), or a float time or Event to wait for.
+    perturb same-time event ordering), or a float time to wait for.
     """
 
     __slots__ = (
@@ -92,7 +87,7 @@ class Pipeline:
         nbytes: float,
         ref: str = "",
         ctx: typing.Any = None,
-        start: typing.Union[None, float, Event] = None,
+        start: typing.Optional[float] = None,
     ) -> None:
         self.sim = sim
         self.event = Event(sim)
@@ -108,10 +103,8 @@ class Pipeline:
         if start is None:
             sim._lane.append(advance)
             sim._seq += 1
-        elif start.__class__ is float:
-            sim._schedule(start, advance)
         else:
-            start.add_callback(advance)
+            sim._schedule(start, advance)
 
     def _advance(self, _event: typing.Optional[Event] = None) -> None:
         sim = self.sim
@@ -137,7 +130,7 @@ class Pipeline:
                 if span is not None:
                     self._t0 = sim.now
                 if kind == LEG:
-                    nxt = operand.transfer_analytic(self.nbytes)
+                    nxt = operand.reserve(self.nbytes)
                 elif kind == HOOK:
                     nxt = operand(self)
                     if nxt is None:
@@ -154,7 +147,7 @@ class Pipeline:
         else:
             nxt.add_callback(self._advance_cb)
 
-    def _dma(self, operand: tuple) -> typing.Union[float, Event]:
+    def _dma(self, operand: tuple) -> float:
         """Next wait of a fault-aware DMA leg: a stall or backoff, or
         the transfer itself (which ends the leg)."""
         server, injector, island_id = operand
@@ -172,4 +165,4 @@ class Pipeline:
                     return self.sim.now + injector.dma_retry_delay(attempt)
                 injector.stats.dma_forced_recoveries += 1
         self._attempt = None
-        return server.transfer_analytic(self.nbytes)
+        return server.reserve(self.nbytes)

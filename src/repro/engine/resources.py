@@ -4,6 +4,10 @@ These are the contention models used throughout the architecture
 simulation.  A :class:`BandwidthServer` is the workhorse: it models a link
 or port that serializes transfers at a fixed bytes/cycle rate, which is how
 NoC links, ring segments, DMA engines and memory channels are represented.
+Its :meth:`~BandwidthServer.reserve` is the one way a model occupies a
+channel: the FIFO queueing is closed-form arithmetic at issue, so a
+transfer's completion time is a float whether the channel is idle or
+backlogged.
 """
 
 from __future__ import annotations
@@ -72,9 +76,11 @@ class Resource:
 class BandwidthServer:
     """A FIFO-serialized channel with a fixed service rate.
 
-    ``transfer(nbytes)`` returns an event firing when the transfer has
-    fully drained through the channel.  Transfers queue behind one another,
-    so the completion time of a transfer issued at ``t`` is::
+    ``reserve(nbytes)`` occupies the channel and returns the time the
+    transfer has fully drained through it; every data-path stage waits on
+    that float.  ``transfer(nbytes)`` is the same reservation as an event,
+    for generator processes.  Transfers queue behind one another, so the
+    completion time of a transfer issued at ``t`` is::
 
         max(t, channel_free_time) + latency + nbytes / bytes_per_cycle
 
@@ -92,12 +98,15 @@ class BandwidthServer:
         latency: float = 0.0,
         name: str = "",
     ) -> None:
-        if bytes_per_cycle <= 0:
+        if not bytes_per_cycle > 0:
             raise ConfigError(
                 f"bandwidth must be positive, got {bytes_per_cycle} (server {name!r})"
             )
-        if latency < 0:
-            raise ConfigError(f"latency must be non-negative, got {latency}")
+        if not 0.0 <= latency < _INF:
+            raise ConfigError(
+                f"latency must be finite and non-negative, got {latency} "
+                f"(server {name!r})"
+            )
         self.sim = sim
         self.bytes_per_cycle = bytes_per_cycle
         self.latency = latency
@@ -106,9 +115,6 @@ class BandwidthServer:
         self.busy_cycles = 0.0
         self.total_bytes = 0.0
         self.total_transfers = 0
-        # Completion time of the most recent transfer, e.g. for the
-        # span of a leg whose Event the caller hands on unwrapped.
-        self.last_done = 0.0
 
     def reserve(self, nbytes: float) -> float:
         """Account one transfer; returns its completion time.
@@ -133,39 +139,17 @@ class BandwidthServer:
         self.busy_cycles += occupancy
         self.total_bytes += nbytes
         self.total_transfers += 1
-        done = start + occupancy + self.latency
-        self.last_done = done
-        return done
+        return start + occupancy + self.latency
 
     def transfer(self, nbytes: float) -> Event:
         """Enqueue a transfer; the returned event fires at completion."""
         return as_event(self.sim, self.reserve(nbytes), nbytes)
-
-    def transfer_analytic(self, nbytes: float) -> typing.Union[float, Event]:
-        """Fast-path transfer: a float when uncontended, an event when not.
-
-        When the channel is idle at issue time the completion time is
-        known in closed form and returned directly — no event object,
-        no scheduled entry.  The moment a second requester overlaps
-        (``_free_at`` is still in the future) this defers to
-        :meth:`transfer`, the exact queued model; both paths run the
-        same :meth:`reserve` accounting, so completion times are
-        identical by construction.
-        """
-        if self._free_at <= self.sim.now:
-            return self.reserve(nbytes)
-        return self.transfer(nbytes)
 
     def utilization(self, elapsed: float) -> float:
         """Fraction of ``elapsed`` cycles the channel was busy."""
         if elapsed <= 0:
             return 0.0
         return min(1.0, self.busy_cycles / elapsed)
-
-    @property
-    def backlog_cycles(self) -> float:
-        """Cycles of queued work ahead of a transfer issued right now."""
-        return max(0.0, self._free_at - self.sim.now)
 
 
 class AllOf(Event):

@@ -96,9 +96,9 @@ class IslandConfig:
                 raise ConfigError(f"negative ABB count for {name!r}")
         if self.total_abbs() < 1:
             raise ConfigError("island must have at least one ABB")
-        if self.noc_link_bytes_per_cycle <= 0:
+        if not self.noc_link_bytes_per_cycle > 0:
             raise ConfigError("NoC interface bandwidth must be positive")
-        if self.dma_bytes_per_cycle <= 0:
+        if not self.dma_bytes_per_cycle > 0:
             raise ConfigError("DMA bandwidth must be positive")
         if self.abb_spm_width_bytes < 1:
             raise ConfigError("ABB<->SPM width must be >= 1 byte")

@@ -15,11 +15,12 @@
   spatial reuse that makes rings scale where the proxy crossbar does not.
 
 Each design implements one method, :meth:`SpmDmaNetwork.leg`, whose
-result follows the stage protocol of :mod:`repro.engine.pipeline` (a
-float completion time or an Event); the Event APIs ``dma_to_spm``,
-``spm_to_dma`` and ``chain`` derive from it.  Dynamic energy is charged
-to the island's :class:`~repro.power.aggregate.EnergyAccount` under
-``"island_net"``.
+result follows the stage protocol of :mod:`repro.engine.pipeline`: a
+single-channel hop is the float that
+:meth:`~repro.engine.resources.BandwidthServer.reserve` returns, a
+multi-stage path (a ring traversal, proxy chaining) its pipeline's
+Event.  Dynamic energy is charged to the island's
+:class:`~repro.power.aggregate.EnergyAccount` under ``"island_net"``.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import abc
 import math
 import typing
 
-from repro.engine import HOOK, LEG, BandwidthServer, Event, Pipeline, Simulator, as_event
+from repro.engine import HOOK, LEG, BandwidthServer, Event, Pipeline, Simulator
 from repro.errors import ConfigError
 from repro.island.config import NetworkKind, SpmDmaNetworkConfig
 from repro.power.aggregate import EnergyAccount
@@ -85,22 +86,10 @@ class SpmDmaNetwork(abc.ABC):
         """Move ``nbytes`` from ``src_slot``'s SPM group to ``dst_slot``'s,
         ``None`` standing for the DMA engine.
 
-        Returns the completion time as a float when it is known in
-        closed form at issue (the caller schedules the wake-up), else
-        the exact model's Event.
+        Returns the completion time as a float for a single-channel hop
+        (the caller schedules the wake-up), else the Event of the
+        multi-stage path.
         """
-
-    def dma_to_spm(self, slot: int, nbytes: float) -> Event:
-        """Move ``nbytes`` from the DMA engine into slot's SPM group."""
-        return as_event(self.sim, self.leg(None, slot, nbytes), nbytes)
-
-    def spm_to_dma(self, slot: int, nbytes: float) -> Event:
-        """Move ``nbytes`` from slot's SPM group to the DMA engine."""
-        return as_event(self.sim, self.leg(slot, None, nbytes), nbytes)
-
-    def chain(self, src_slot: int, dst_slot: int, nbytes: float) -> Event:
-        """Move ``nbytes`` directly between two slots' SPM groups."""
-        return as_event(self.sim, self.leg(src_slot, dst_slot, nbytes), nbytes)
 
     # ------------------------------------------------------------ physicals
     @property
@@ -170,7 +159,7 @@ class ProxyCrossbarNetwork(SpmDmaNetwork):
         if src_slot is not None and dst_slot is not None:
             return Pipeline(self.sim, self._chain_path, nbytes).event
         self._charge(nbytes)
-        return self._port.transfer_analytic(nbytes)
+        return self._port.reserve(nbytes)
 
     @property
     def area_mm2(self) -> float:
@@ -219,8 +208,8 @@ class ChainingCrossbarNetwork(SpmDmaNetwork):
         self._check_slots(src_slot, dst_slot)
         self._charge(nbytes)
         if src_slot is not None and dst_slot is not None:
-            return self._chain_paths.transfer_analytic(nbytes)
-        return self._dma_port.transfer_analytic(nbytes)
+            return self._chain_paths.reserve(nbytes)
+        return self._dma_port.reserve(nbytes)
 
     @property
     def area_mm2(self) -> float:
@@ -292,9 +281,6 @@ class RingNetwork(SpmDmaNetwork):
         move."""
         return self._traverse(self._node(src_slot), self._node(dst_slot), nbytes)
 
-    def _transfer(self, src_node: int, dst_node: int, nbytes: float) -> Event:
-        return as_event(self.sim, self._traverse(src_node, dst_node, nbytes), nbytes)
-
     def _traverse(
         self, src_node: int, dst_node: int, nbytes: float
     ) -> typing.Union[float, Event]:
@@ -311,8 +297,8 @@ class RingNetwork(SpmDmaNetwork):
         )
         return Pipeline(self.sim, self._path, nbytes, ctx=hops).event
 
-    def _occupy(self, run: Pipeline) -> typing.Union[float, Event]:
-        return self._capacity.transfer_analytic(run.nbytes * run.ctx / self.n_nodes)
+    def _occupy(self, run: Pipeline) -> float:
+        return self._capacity.reserve(run.nbytes * run.ctx / self.n_nodes)
 
     def _hop_latency(self, run: Pipeline) -> float:
         return run.sim.now + RING_HOP_LATENCY * run.ctx

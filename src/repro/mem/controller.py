@@ -5,6 +5,12 @@ Section 4 configures 4 controllers with an average 180-cycle latency at
 sustained bandwidth per controller.  Accesses queue FIFO per controller;
 addresses are spread across controllers by a deterministic hash so that
 independent tasks load all channels uniformly.
+
+Each channel is a :class:`~repro.engine.resources.BandwidthServer`.  A
+data-path stage occupies it through :meth:`MemoryController.access_leg`,
+which returns the float :meth:`~repro.engine.resources.BandwidthServer.reserve`
+gives; :meth:`MemoryController.access` is the same access as an Event,
+for the generator models (ARC, bin buffers, L2, the software paths).
 """
 
 from __future__ import annotations
@@ -40,10 +46,6 @@ class MemoryController:
         energy: typing.Optional[EnergyAccount] = None,
         tracer: typing.Optional[Tracer] = None,
     ) -> None:
-        if bandwidth_gbps <= 0:
-            raise ConfigError("memory bandwidth must be positive")
-        if latency_cycles < 0:
-            raise ConfigError("memory latency must be non-negative")
         self.index = index
         self.energy = energy if energy is not None else EnergyAccount()
         self.tracer = tracer
@@ -59,26 +61,20 @@ class MemoryController:
         """Read or write ``nbytes``; the event fires when data is served."""
         return as_event(self._channel.sim, self.access_leg(nbytes, ref), nbytes)
 
-    def access_leg(
-        self, nbytes: float, ref: str = ""
-    ) -> typing.Union[float, Event]:
-        """:meth:`access` as a pipeline stage result: the completion time
-        as a float when the channel is idle at issue, else the exact
-        queued Event.
+    def access_leg(self, nbytes: float, ref: str = "") -> float:
+        """:meth:`access` as a pipeline stage result: the completion
+        time the channel's reservation returns.
 
-        The traced span ends at the channel's analytically known drain
-        time, recorded at issue: no wrapping process exists to observe
-        completion.
+        The traced span ends at that time, recorded at issue: no
+        wrapping process exists to observe completion.
         """
         self.energy.charge("dram", DRAM_ENERGY_PJ_PER_BYTE * nbytes * 1e-3)
         channel = self._channel
         start = channel.sim.now
-        result = channel.transfer_analytic(nbytes)
+        done = channel.reserve(nbytes)
         if self.tracer is not None:
-            self.tracer.record(
-                start, channel.last_done, self._span_actor, "mem", nbytes, ref
-            )
-        return result
+            self.tracer.record(start, done, self._span_actor, "mem", nbytes, ref)
+        return done
 
     def utilization(self, elapsed: float) -> float:
         """Busy fraction of the channel."""
@@ -136,7 +132,7 @@ class MemorySystem:
         nbytes: float,
         stream_id: typing.Optional[int] = None,
         ref: str = "",
-    ) -> typing.Union[float, Event]:
+    ) -> float:
         """:meth:`access` as a pipeline stage result (see
         :meth:`MemoryController.access_leg`)."""
         return self.controller_for(stream_id).access_leg(nbytes, ref)

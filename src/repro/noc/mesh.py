@@ -6,8 +6,11 @@ its path, and pays one router-pipeline latency per hop.  Wormhole
 pipelining is approximated by completing when the *slowest* link on the
 path has drained the payload — links are charged in parallel, so a
 congested link delays the message but uncongested links do not serialize
-behind each other.  A transfer reserves its links at issue; a short
-pipeline (path-drain join, router latency, arrival) does the rest.
+behind each other.  A transfer reserves its links at issue through
+:meth:`~repro.engine.resources.BandwidthServer.reserve`, which returns
+each link's drain time as a float, and waits on the largest; a short
+pipeline (path-drain join, router latency, arrival) does the rest.  Only
+that one wait is scheduled: links that drain earlier add no entry.
 """
 
 from __future__ import annotations
@@ -55,8 +58,10 @@ class MeshNoC:
         fault_injector: typing.Optional[typing.Any] = None,
         tracer: typing.Optional[Tracer] = None,
     ) -> None:
-        if link_bytes_per_cycle <= 0:
-            raise ConfigError("mesh link bandwidth must be positive")
+        if not link_bytes_per_cycle > 0:
+            raise ConfigError(
+                f"mesh link bandwidth must be positive, got {link_bytes_per_cycle}"
+            )
         if segment_bytes is not None and segment_bytes <= PACKET_HEADER_BYTES:
             raise ConfigError(
                 f"segment size must exceed the {PACKET_HEADER_BYTES}-byte header"
@@ -143,20 +148,10 @@ class MeshNoC:
 
         # Reserve every link on the path at issue time, exactly as the
         # event-based model issued all link transfers before its process
-        # started.  An uncontended link answers with its drain time in
-        # closed form (no event, no heap entry); a contended link drops
-        # to the exact queued model and keeps its completion entry.  The
-        # transfer completes when the slowest link drains — on ties the
-        # last link reserved wins, matching the barrier's firing order.
-        slowest_done = -1.0
-        slowest_event: typing.Optional[Event] = None
-        for a, b in path:
-            link = self._link(a, b)
-            result = link.transfer_analytic(wire_bytes)
-            done = link.last_done
-            if done >= slowest_done:
-                slowest_done = done
-                slowest_event = None if result.__class__ is float else result
+        # started.  The transfer completes when the slowest link drains.
+        slowest_done = max(
+            self._link(a, b).reserve(wire_bytes) for a, b in path
+        )
 
         router_cycles = ROUTER_LATENCY * hops
         injector = self.fault_injector
@@ -178,7 +173,7 @@ class MeshNoC:
             nbytes,
             ref,
             (router_cycles, self.sim.now, src, dst, hops),
-            start=slowest_done if slowest_event is None else slowest_event,
+            start=slowest_done,
         ).event
 
     def _router_latency(self, run: Pipeline) -> float:

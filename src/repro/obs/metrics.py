@@ -303,26 +303,40 @@ class MetricsRegistry:
 
     @classmethod
     def from_json_dict(cls, data: typing.Mapping) -> "MetricsRegistry":
-        """Rebuild a registry of static samples from a JSON snapshot."""
+        """Rebuild a registry of static samples from a JSON snapshot.
+
+        Anything but a snapshot object with well-formed metric entries
+        raises :class:`ConfigError`.
+        """
+        if not isinstance(data, typing.Mapping):
+            raise ConfigError("metrics snapshot must be a JSON object")
         version = data.get("schema_version")
         if version != METRICS_SCHEMA_VERSION:
             raise ConfigError(
                 f"unsupported metrics schema version {version!r} "
                 f"(expected {METRICS_SCHEMA_VERSION})"
             )
+        entries = data.get("metrics", [])
+        if not isinstance(entries, list):
+            raise ConfigError("metrics snapshot 'metrics' must be a list")
         registry = cls()
-        for entry in data.get("metrics", []):
+        for entry in entries:
+            if not isinstance(entry, typing.Mapping):
+                raise ConfigError(f"serialized metric must be an object: {entry!r}")
             missing = {"name", "kind", "values"} - set(entry)
             if missing:
                 raise ConfigError(
                     f"serialized metric missing fields: {sorted(missing)}"
                 )
+            try:
+                values = {str(k): float(v) for k, v in entry["values"].items()}
+            except (ValueError, TypeError, AttributeError) as err:
+                raise ConfigError(
+                    f"serialized metric {entry['name']!r} field 'values': {err}"
+                ) from None
             registry.register(
                 _StaticMetric(
-                    entry["name"],
-                    entry["kind"],
-                    {str(k): float(v) for k, v in entry["values"].items()},
-                    entry.get("help", ""),
+                    entry["name"], entry["kind"], values, entry.get("help", "")
                 )
             )
         return registry

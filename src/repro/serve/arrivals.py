@@ -91,8 +91,11 @@ class ArrivalConfig:
                 raise ConfigError("trace arrivals need at least one time")
             previous = -math.inf
             for time in self.trace:
-                if time < 0:
-                    raise ConfigError(f"negative trace arrival time {time}")
+                if not 0 <= time < math.inf:
+                    raise ConfigError(
+                        f"trace arrival times must be finite and "
+                        f"non-negative, got {time}"
+                    )
                 if time < previous:
                     raise ConfigError("trace arrival times must be sorted")
                 previous = time
@@ -178,7 +181,7 @@ def trace_from_file(path: str, seed: int = 0) -> ArrivalConfig:
     except (json.JSONDecodeError, ValueError) as err:
         raise ConfigError(f"unreadable arrival trace {path!r}: {err}") from None
     if not isinstance(values, list) or not all(
-        isinstance(v, (int, float)) for v in values
+        isinstance(v, (int, float)) and not isinstance(v, bool) for v in values
     ):
         raise ConfigError(f"arrival trace {path!r} must be a list of times")
     return ArrivalConfig(

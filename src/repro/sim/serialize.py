@@ -29,16 +29,21 @@ def read_document(path: str, expected_version: int = SCHEMA_VERSION) -> dict:
     """Read a JSON document written by :func:`write_document`.
 
     Rejects documents whose ``schema_version`` does not match, so a
-    format change can never be silently misread as current data.
+    format change can never be silently misread as current data, and
+    documents that are not an object with a ``results`` list.
     """
     with open(path) as handle:
         document = json.load(handle)
+    if not isinstance(document, dict):
+        raise ConfigError(f"{path!r} is not a JSON object")
     version = document.get("schema_version")
     if version != expected_version:
         raise ConfigError(
             f"unsupported results schema version {version!r} "
             f"(expected {expected_version})"
         )
+    if not isinstance(document.get("results"), list):
+        raise ConfigError(f"{path!r} has no results list")
     return document
 
 
@@ -86,8 +91,14 @@ def record_from_dict(cls: type, data: typing.Mapping) -> typing.Any:
     """Rebuild a ``cls`` record from :func:`record_to_dict` output.
 
     A field with a dataclass default may be absent (older documents);
-    one without is required, and its absence raises :class:`ConfigError`.
+    one without is required.  A missing field, a value that does not
+    coerce to its annotation, or a ``data`` that is not a mapping raises
+    :class:`ConfigError` naming the class (and field).
     """
+    if not isinstance(data, typing.Mapping):
+        raise ConfigError(
+            f"serialized {cls.__name__} must be an object, got {data!r}"
+        )
     fields = dataclasses.fields(cls)
     missing = {
         field.name
@@ -100,13 +111,16 @@ def record_from_dict(cls: type, data: typing.Mapping) -> typing.Any:
             f"serialized {cls.__name__} missing fields: {sorted(missing)}"
         )
     hints = typing.get_type_hints(cls)
-    return cls(
-        **{
-            field.name: _decode(hints[field.name], data[field.name])
-            for field in fields
-            if field.name in data
-        }
-    )
+    values = {}
+    for field in fields:
+        if field.name in data:
+            try:
+                values[field.name] = _decode(hints[field.name], data[field.name])
+            except (ValueError, TypeError, AttributeError) as err:
+                raise ConfigError(
+                    f"serialized {cls.__name__} field {field.name!r}: {err}"
+                ) from None
+    return cls(**values)
 
 
 def save_results(

@@ -299,10 +299,10 @@ class SystemModel:
         index = stream_id % self.config.n_memory_controllers
         return self.topology.memory_controller(index)
 
-    def _dram_read(self, run: Pipeline) -> typing.Union[float, Event]:
+    def _dram_read(self, run: Pipeline) -> float:
         return self.memory.access_leg(run.nbytes, run.ctx[2], run.ref)
 
-    def _dram_write(self, run: Pipeline) -> typing.Union[float, Event]:
+    def _dram_write(self, run: Pipeline) -> float:
         return self.memory.access_leg(run.nbytes, run.ctx[-1], run.ref)
 
     def _mesh(self, run: Pipeline) -> Event:

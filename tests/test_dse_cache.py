@@ -185,6 +185,19 @@ class TestResultCache:
             json.dump(document, handle)
         assert cache.get(fingerprint) is None
 
+    def test_mistyped_field_is_a_miss(self, tmp_path, result):
+        cache = ResultCache(str(tmp_path))
+        fingerprint = "ee" + "0" * 62
+        cache.put(fingerprint, result)
+        path = os.path.join(str(tmp_path), "ee", f"{fingerprint}.json")
+        with open(path) as handle:
+            document = json.load(handle)
+        document["result"]["tiles"] = "abc"
+        with open(path, "w") as handle:
+            json.dump(document, handle)
+        assert cache.get(fingerprint) is None
+        assert (cache.hits, cache.misses) == (0, 1)
+
     @pytest.mark.parametrize(
         "document",
         [

@@ -1,13 +1,16 @@
 """Tests for the kernel fast paths added by the engine hot-path work.
 
-Covers the analytic bandwidth-server shortcut (and its fall-back to the
-exact queued model under contention), the stage interpreter that runs
-every data path, AllOf edge cases around triggered and duplicated
+Covers the bandwidth server's float wait (``reserve()``, queued behind
+the channel's backlog, against the Event of ``transfer()``), the stage
+interpreter that runs every data path (LEG stages against the
+equivalent generator, including a property test over random contended
+issue patterns), AllOf edge cases around triggered and duplicated
 children, non-finite time rejection in every scheduling entry point,
 and the tracer's one span list.
 """
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.engine import (
     DELAY,
@@ -26,49 +29,41 @@ from repro.faults import DMA_DROP, DMA_STALL, FaultInjector, parse_fault_spec
 
 
 class TestTransferAnalytic:
+    """``reserve()``: a transfer's completion time in closed form, idle
+    channel or backlogged, with the same accounting as ``transfer()``."""
+
     def test_uncontended_returns_float(self):
         sim = Simulator()
         server = BandwidthServer(sim, bytes_per_cycle=4.0, latency=2.0)
-        done = server.transfer_analytic(100.0)
+        done = server.reserve(100.0)
         assert isinstance(done, float)
         assert done == 100.0 / 4.0 + 2.0
 
-    def test_overlapping_second_transfer_defers_to_exact_model(self):
-        """The fast path only fires when the channel is idle.
-
-        Two transfers issued back-to-back at t=0: the first sees an idle
-        channel and resolves in closed form; the second sees ``_free_at``
-        in the future and must come back as a real queued event.
-        """
+    def test_second_transfer_queues_behind_first(self):
+        """Two transfers issued back-to-back at t=0: the second's float
+        already includes the first one's occupancy."""
         sim = Simulator()
         server = BandwidthServer(sim, bytes_per_cycle=4.0, latency=2.0)
-        first = server.transfer_analytic(100.0)
-        second = server.transfer_analytic(60.0)
-        assert isinstance(first, float)
-        assert isinstance(second, Event)
-        done = []
-        second.add_callback(lambda e: done.append(sim.now))
-        sim.run()
+        first = server.reserve(100.0)
+        second = server.reserve(60.0)
+        assert first == 100.0 / 4.0 + 2.0
         # Queued behind the first transfer's 25-cycle occupancy.
-        assert done == [25.0 + 60.0 / 4.0 + 2.0]
+        assert second == 25.0 + 60.0 / 4.0 + 2.0
+        assert not sim._heap and not sim._lane  # nothing scheduled
 
     def test_completion_times_match_plain_transfer_sequence(self):
-        """Analytic and event paths agree bit-for-bit under contention."""
+        """Float waits and event waits agree bit-for-bit under contention."""
         sizes = [100.0, 60.0, 0.0, 512.0, 7.0]
 
-        def issue(sim, server, use_analytic, log):
+        def issue(sim, server, use_float, log):
             def body():
                 for nbytes in sizes:
-                    result = (
-                        server.transfer_analytic(nbytes)
-                        if use_analytic
-                        else server.transfer(nbytes)
-                    )
-                    if isinstance(result, float):
-                        log.append(result)
-                        yield sim.timeout(result - sim.now)
+                    if use_float:
+                        done = server.reserve(nbytes)
+                        log.append(done)
+                        yield sim.timeout(done - sim.now)
                     else:
-                        yield result
+                        yield server.transfer(nbytes)
                         log.append(sim.now)
 
             sim.process(body())
@@ -89,19 +84,18 @@ class TestTransferAnalytic:
         sim = Simulator()
         fast = BandwidthServer(sim, 8.0, latency=1.0)
         exact = BandwidthServer(sim, 8.0, latency=1.0)
-        fast.transfer_analytic(64.0)
+        fast.reserve(64.0)
         exact.transfer(64.0)
         assert fast.busy_cycles == exact.busy_cycles
         assert fast.total_bytes == exact.total_bytes
         assert fast.total_transfers == exact.total_transfers
-        assert fast.last_done == exact.last_done
         assert fast._free_at == exact._free_at
 
     def test_negative_size_rejected_on_fast_path(self):
         sim = Simulator()
         server = BandwidthServer(sim, 4.0)
         with pytest.raises(ConfigError):
-            server.transfer_analytic(-1.0)
+            server.reserve(-1.0)
 
 
 class TestPipeline:
@@ -185,13 +179,13 @@ class TestPipeline:
         assert entries == expected_entries
         assert stats == expected_stats
 
-    def test_contended_leg_falls_back_to_exact_event(self):
+    def test_contended_leg_waits_on_queued_float(self):
         sim = Simulator()
         results = []
 
         class Recording(BandwidthServer):
-            def transfer_analytic(self, nbytes):
-                result = super().transfer_analytic(nbytes)
+            def reserve(self, nbytes):
+                result = super().reserve(nbytes)
                 results.append(result)
                 return result
 
@@ -201,9 +195,51 @@ class TestPipeline:
             run = Pipeline(sim, ((LEG, server, None),), nbytes)
             run.event.add_callback(lambda e: done.append(sim.now))
         sim.run()
-        assert [r.__class__ for r in results] == [float, Event]
+        assert [r.__class__ for r in results] == [float, float]
         # Exactly the queued model's completion times.
-        assert done == [100.0 / 4.0 + 2.0, 100.0 / 4.0 + 60.0 / 4.0 + 2.0]
+        assert done == results == [
+            100.0 / 4.0 + 2.0, 100.0 / 4.0 + 60.0 / 4.0 + 2.0
+        ]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 40), st.integers(0, 400)),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    def test_leg_pipelines_match_transfer_generators(self, issues):
+        """Over random issue times and sizes on one contended server, LEG
+        stages and ``yield server.transfer(n)`` give the same completion
+        log and schedule the same number of entries."""
+
+        def run(use_pipeline):
+            sim = Simulator()
+            server = BandwidthServer(sim, 8.0, latency=3.0)
+            stages = ((LEG, server, None), (LEG, server, None))
+            log = []
+
+            def body(nbytes):
+                yield server.transfer(nbytes)
+                yield server.transfer(nbytes)
+                return nbytes
+
+            def issue(i, nbytes):
+                if use_pipeline:
+                    done = Pipeline(sim, stages, nbytes).event
+                else:
+                    done = sim.process(body(nbytes))
+                done.add_callback(lambda e: log.append((i, sim.now, e.value)))
+
+            for i, (at, nbytes) in enumerate(issues):
+                sim.timeout(float(at)).add_callback(
+                    lambda e, i=i, n=float(nbytes): issue(i, n)
+                )
+            sim.run()
+            return log, sim._seq
+
+        assert run(True) == run(False)
 
     def test_stage_span_recorded_when_wait_ends(self):
         sim = Simulator()

@@ -135,29 +135,32 @@ class TestBandwidthServer:
             link.transfer(-5)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
-    @pytest.mark.parametrize("entry", ["reserve", "transfer", "transfer_analytic"])
+    @pytest.mark.parametrize("entry", ["reserve", "transfer"])
     def test_non_finite_size_rejected_before_accounting(self, entry, bad):
         sim = Simulator()
         link = BandwidthServer(sim, bytes_per_cycle=4.0, latency=1.0)
         link.transfer(40)  # some state to keep intact
         before = (
             link._free_at, link.busy_cycles, link.total_bytes,
-            link.total_transfers, link.last_done,
+            link.total_transfers,
         )
         with pytest.raises(ConfigError, match="finite and non-negative"):
             getattr(link, entry)(bad)
         after = (
             link._free_at, link.busy_cycles, link.total_bytes,
-            link.total_transfers, link.last_done,
+            link.total_transfers,
         )
         assert after == before
         assert len(sim._heap) == 1  # only the valid transfer is scheduled
 
-    def test_backlog_reflects_queued_work(self):
-        sim = Simulator()
-        link = BandwidthServer(sim, bytes_per_cycle=1.0)
-        link.transfer(100)
-        assert link.backlog_cycles == 100.0
+    @pytest.mark.parametrize(
+        "rate, latency",
+        [(float("nan"), 0.0), (-1.0, 0.0), (1.0, float("nan")),
+         (1.0, float("inf")), (1.0, -1.0)],
+    )
+    def test_bad_parameters_rejected_at_construction(self, rate, latency):
+        with pytest.raises(ConfigError):
+            BandwidthServer(Simulator(), bytes_per_cycle=rate, latency=latency)
 
 
 class TestAllOf:

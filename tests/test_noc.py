@@ -116,6 +116,19 @@ class TestMeshNoC:
         sim.run()
         assert done[1] >= done[0] + 1600 / 16.0 - 1e-9
 
+    def test_contended_path_schedules_one_wait(self):
+        """A multi-hop transfer behind a backlog waits once, on its
+        slowest link: the links that drain no later schedule nothing."""
+        sim, topo, noc = self.make()
+        src, dst = topo.island(0), topo.memory_controller(0)
+        hops = len(noc.route(src, dst))
+        assert hops >= 2
+        noc.transfer(src, dst, 1600)
+        before = sim._seq
+        second = noc.transfer(src, dst, 160)  # every link still busy
+        assert sim._seq - before == 1
+        assert self.run_event(sim, second) == 1600 / 16 + 160 / 16 + 2.0 * hops
+
     def test_energy_charged_per_byte_hop(self):
         sim, topo, noc = self.make()
         self.run_event(sim, noc.transfer(topo.island(0), topo.memory_controller(0), 100))

@@ -166,6 +166,26 @@ class TestExport:
         with pytest.raises(ConfigError):
             MetricsRegistry.from_json_dict(data)
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[1, 2]",
+            '{"schema_version": %d, "metrics": 3}',
+            '{"schema_version": %d, "metrics": [7]}',
+            '{"schema_version": %d, "metrics": '
+            '[{"name": "a", "kind": "counter", "values": {"value": "x"}}]}',
+            '{"schema_version": %d, "metrics": '
+            '[{"name": "a", "kind": "counter", "values": [1]}]}',
+        ],
+        ids=["array", "metrics-not-a-list", "entry-not-an-object",
+             "value-not-a-number", "values-not-an-object"],
+    )
+    def test_malformed_snapshot_rejected(self, tmp_path, text):
+        path = tmp_path / "metrics.json"
+        path.write_text(text.replace("%d", str(METRICS_SCHEMA_VERSION)))
+        with pytest.raises(ConfigError):
+            MetricsRegistry.load(str(path))
+
     def test_prometheus_format(self):
         text = self.make_registry().to_prometheus()
         lines = text.splitlines()

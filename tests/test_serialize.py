@@ -1,9 +1,16 @@
 """Tests for result serialization."""
 
+import json
+
 import pytest
 
 from repro.errors import ConfigError
-from repro.serve.slo import ServeResult, TenantSLO
+from repro.serve.slo import (
+    SERVE_SCHEMA_VERSION,
+    ServeResult,
+    TenantSLO,
+    load_serve_results,
+)
 from repro.sim import SimResult, SystemConfig, run_workload
 from repro.sim.serialize import (
     load_results,
@@ -160,3 +167,44 @@ class TestRecordCodec:
         rebuilt = record_from_dict(SimResult, data)
         assert rebuilt.tiles == 4 and isinstance(rebuilt.tiles, int)
         assert isinstance(rebuilt.total_cycles, float)
+
+
+class TestMalformedDocuments:
+    """Every loader fails with ConfigError, never a stray exception."""
+
+    def write(self, tmp_path, document):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(document))
+        return str(path)
+
+    @pytest.mark.parametrize("loader", [load_results, load_serve_results])
+    def test_array_document_rejected(self, tmp_path, loader):
+        with pytest.raises(ConfigError, match="not a JSON object"):
+            loader(self.write(tmp_path, [1, 2]))
+
+    def test_missing_results_list_rejected(self, tmp_path):
+        with pytest.raises(ConfigError, match="results"):
+            load_results(self.write(tmp_path, {"schema_version": 1}))
+
+    def test_mistyped_field_names_class_and_field(self, records, tmp_path):
+        data = record_to_dict(records[SimResult])
+        data["tiles"] = "abc"
+        path = self.write(tmp_path, {"schema_version": 1, "results": [data]})
+        with pytest.raises(ConfigError, match="SimResult field 'tiles'"):
+            load_results(path)
+
+    def test_non_object_record_rejected(self, tmp_path):
+        path = self.write(tmp_path, {"schema_version": 1, "results": [3]})
+        with pytest.raises(ConfigError, match="SimResult"):
+            load_results(path)
+
+    def test_mistyped_serve_tenant_field(self, records, tmp_path):
+        data = record_to_dict(records[ServeResult])
+        data["tenants"][0]["offered"] = "many"
+        path = self.write(
+            tmp_path,
+            {"schema_version": SERVE_SCHEMA_VERSION, "kind": "serve",
+             "results": [data]},
+        )
+        with pytest.raises(ConfigError, match="TenantSLO field 'offered'"):
+            load_serve_results(path)

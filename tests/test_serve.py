@@ -69,6 +69,9 @@ class TestArrivals:
             ArrivalConfig(kind="trace", trace=(5.0, 2.0))
         with pytest.raises(ConfigError):
             ArrivalConfig(kind="trace", trace=(-1.0,))
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ConfigError, match="finite"):
+                ArrivalConfig(kind="trace", trace=(5000.0, bad, 3000.0))
         with pytest.raises(ConfigError):
             ArrivalConfig(kind="trace", trace=())
 
@@ -108,6 +111,13 @@ class TestArrivals:
         path = tmp_path / "trace.txt"
         path.write_text("10  # first\n\n20.5\n30 # last\n")
         assert trace_from_file(str(path)).trace == (10.0, 20.5, 30.0)
+
+    @pytest.mark.parametrize("text", ["[true, 5]", "[1, false]"])
+    def test_boolean_trace_times_rejected(self, tmp_path, text):
+        path = tmp_path / "trace.json"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match="list of times"):
+            trace_from_file(str(path))
 
     def test_unreadable_trace_rejected(self, tmp_path):
         path = tmp_path / "trace.txt"

@@ -63,6 +63,17 @@ class TestSystemConfig:
         with pytest.raises(ConfigError):
             SystemConfig(n_islands=200)  # fewer ABBs than islands
 
+    @pytest.mark.parametrize(
+        "field",
+        ["mc_bandwidth_gbps", "mc_latency_cycles", "noc_link_bytes_per_cycle",
+         "mesh_link_bytes_per_cycle"],
+    )
+    def test_nan_channel_parameter_rejected_at_build(self, field):
+        """A NaN rate or latency fails when the system is built, not
+        mid-run when a completion time cannot be scheduled."""
+        with pytest.raises(ConfigError):
+            SystemModel(SystemConfig(**{field: float("nan")}))
+
 
 class TestSystemModel:
     def test_builds_all_islands(self):

@@ -144,7 +144,7 @@ def main() -> int:
         "overhead_fraction": round(overhead, 4),
         "overhead_budget": OVERHEAD_BUDGET,
         "export_wall_s": round(export_s, 4),
-        "denoise_spans": len(tracer.records),
+        "denoise_spans": len(tracer),
         "bit_neutral": True,
         "note": (
             "overhead_fraction is best-of-N traced wall / untraced wall - 1 "

@@ -23,78 +23,10 @@ from __future__ import annotations
 
 import math
 import typing
-from dataclasses import dataclass
 
 from repro.errors import ConfigError
 
 _INF = float("inf")
-
-
-@dataclass(frozen=True, init=False)
-class TraceRecord:
-    """One traced span.
-
-    Attributes:
-        start: Span start time (cycles).
-        end: Span end time (cycles).
-        actor: The resource or agent (e.g. ``"island0.slot3"``).
-        kind: Span category (``"compute"``, ``"ingress"``, ``"chain"``,
-            ``"egress"``, ``"alloc_wait"``, ...).
-        label: Free-form detail (task id, byte count, ...).
-        ref: Correlation id of the task/request that caused the span
-            (empty for spans with no owner).
-        args: Structured detail exported to trace viewers; ``None``
-            means "no args".
-    """
-
-    start: float
-    end: float
-    actor: str
-    kind: str
-    label: str = ""
-    ref: str = ""
-    args: typing.Optional[typing.Mapping[str, typing.Any]] = None
-
-    def __init__(
-        self,
-        start: float,
-        end: float,
-        actor: str,
-        kind: str,
-        label: str = "",
-        ref: str = "",
-        args: typing.Optional[typing.Mapping[str, typing.Any]] = None,
-    ) -> None:
-        # One chained comparison accepts exactly the valid spans: NaN
-        # makes every comparison false, +/-inf fall outside the open
-        # bounds, and ordering is checked in the same expression.  The
-        # slow branch re-distinguishes the two failure modes for the
-        # error message.
-        if not (-_INF < start <= end < _INF):
-            if not (math.isfinite(start) and math.isfinite(end)):
-                raise ConfigError(
-                    f"span times must be finite, got [{start}, {end}]"
-                )
-            raise ConfigError(
-                f"span ends before it starts ({start} > {end})"
-            )
-        # Hand-written init: the generated frozen-dataclass __init__
-        # funnels every field through object.__setattr__, which tripled
-        # per-span cost on hot traced runs.  Writing the instance dict
-        # directly keeps mutation blocked while making creation cheap.
-        d = self.__dict__
-        d["start"] = start
-        d["end"] = end
-        d["actor"] = actor
-        d["kind"] = kind
-        d["label"] = label
-        d["ref"] = ref
-        d["args"] = args
-
-    @property
-    def duration(self) -> float:
-        """Span length in cycles."""
-        return self.end - self.start
 
 
 class Tracer:
@@ -103,8 +35,7 @@ class Tracer:
     A trace is one list, :attr:`spans`, of plain span tuples ``(start,
     end, actor, kind, label, ref, args)`` in record order, so a traced
     simulation never pays per-span object construction inside the
-    event loop.  :attr:`records` builds :class:`TraceRecord` objects
-    from it on each read, for queries and tests.
+    event loop.
     """
 
     __slots__ = ("spans", "_names")
@@ -114,11 +45,6 @@ class Tracer:
         self.spans: list = []
         # Interned actor and label strings, by key (see name()).
         self._names: dict = {}
-
-    @property
-    def records(self) -> list:
-        """The spans as :class:`TraceRecord` objects, built on each read."""
-        return [TraceRecord(*span) for span in self.spans]
 
     def record(
         self,
@@ -140,10 +66,16 @@ class Tracer:
         times are not finite or end before they start raises
         :class:`~repro.errors.ConfigError`.
         """
-        # The TraceRecord constructor runs only to raise its precise
-        # validation error; valid spans are stored as tuples.
+        # One chained comparison accepts exactly the valid spans: NaN
+        # makes every comparison false, +/-inf fall outside the open
+        # bounds, and ordering is checked in the same expression.  Only
+        # a rejected span pays for telling the two failures apart.
         if not (-_inf < start <= end < _inf):
-            TraceRecord(start, end, actor, kind, label, ref, args)
+            if not (math.isfinite(start) and math.isfinite(end)):
+                raise ConfigError(
+                    f"span times must be finite, got [{start}, {end}]"
+                )
+            raise ConfigError(f"span ends before it starts ({start} > {end})")
         if actor.__class__ is not str:
             actor = self.name(actor)
         if label.__class__ is not str:
@@ -164,18 +96,6 @@ class Tracer:
         return text
 
     # ---------------------------------------------------------------- query
-    def by_actor(self, actor: str) -> list:
-        """All spans of one actor, in record order."""
-        return [r for r in self.records if r.actor == actor]
-
-    def by_kind(self, kind: str) -> list:
-        """All spans of one kind."""
-        return [r for r in self.records if r.kind == kind]
-
-    def by_ref(self, ref: str) -> list:
-        """All spans correlated to one task/request id."""
-        return [r for r in self.records if r.ref == ref]
-
     def actors(self) -> list:
         """Distinct actors, in first-seen order."""
         return list(dict.fromkeys(span[2] for span in self.spans))
@@ -230,9 +150,8 @@ class Tracer:
         chosen = list(actors) if actors is not None else self.actors()
         label_width = max((len(a) for a in chosen), default=0) + 1
         scale = width / end
-        # One pass over the spans fills every chosen actor's row; the
-        # old per-actor `by_actor` rescans made rendering O(actors x
-        # spans), which dominated on serve-sized traces.
+        # One pass over the spans fills every chosen actor's row, so
+        # rendering is O(spans), not O(actors x spans).
         cells_by_actor: dict[str, list] = {a: ["."] * width for a in chosen}
         for start, end, actor, kind, *_ in self.spans:
             cells = cells_by_actor.get(actor)

@@ -62,9 +62,13 @@ class MeshNoC:
             raise ConfigError(
                 f"mesh link bandwidth must be positive, got {link_bytes_per_cycle}"
             )
-        if segment_bytes is not None and segment_bytes <= PACKET_HEADER_BYTES:
+        # NaN fails the chained test too, so it cannot reach math.ceil.
+        if segment_bytes is not None and not (
+            PACKET_HEADER_BYTES < segment_bytes < math.inf
+        ):
             raise ConfigError(
-                f"segment size must exceed the {PACKET_HEADER_BYTES}-byte header"
+                f"segment size must be finite and exceed the "
+                f"{PACKET_HEADER_BYTES}-byte header, got {segment_bytes}"
             )
         self.sim = sim
         self.topology = topology

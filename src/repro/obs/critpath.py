@@ -64,8 +64,7 @@ _KIND_CATEGORY = {
 _KIND_DETAIL = {"mem": "mem", "spm_net": "spm_net"}
 
 
-@dataclass(frozen=True, init=False)
-class Segment:
+class Segment(typing.NamedTuple):
     """One attributed slice of the critical path."""
 
     start: float
@@ -74,27 +73,6 @@ class Segment:
     detail: str
     ref: str = ""
     actor: str = ""
-
-    def __init__(
-        self,
-        start: float,
-        end: float,
-        category: str,
-        detail: str,
-        ref: str = "",
-        actor: str = "",
-    ) -> None:
-        # Same hand-written-init idiom as TraceRecord: the generated
-        # frozen __init__ funnels every field through
-        # object.__setattr__, and segments are built dozens of times per
-        # attribution call on traced runs.
-        d = self.__dict__
-        d["start"] = start
-        d["end"] = end
-        d["category"] = category
-        d["detail"] = detail
-        d["ref"] = ref
-        d["actor"] = actor
 
     @property
     def duration(self) -> float:
@@ -163,10 +141,8 @@ class _Node:
         self.leaves: list = []
 
 
-# The analyzer walks the tracer's span tuples rather than TraceRecord
-# objects — attribution runs inside every traced run_workload call, and
-# the tuple path skips one object construction per span.  Tuple layout
-# (see Tracer.spans): (start, end, actor, kind, label, ref, args).
+# Field indices of a span tuple (see Tracer.spans):
+# (start, end, actor, kind, label, ref, args).
 _START, _END, _ACTOR, _KIND, _LABEL, _REF, _ARGS = range(7)
 
 

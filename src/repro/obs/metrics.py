@@ -1,12 +1,13 @@
 """Hierarchically named metrics registry with JSON and Prometheus export.
 
-The registry is a *view* layer: metrics wrap the statistics objects the
-simulation already maintains (:mod:`repro.engine.stats` histograms,
-:class:`~repro.engine.stats.UtilizationTracker`, bandwidth-server byte
-totals, plain numbers and callables) and sample them on demand.  Nothing is
-recorded twice and nothing runs during simulation, so an un-exported
-registry costs exactly zero — the zero-cost-when-disabled guarantee of
-the observability subsystem.
+A metric is a name, a kind and the values sampled when it was
+registered.  The builders (:func:`system_metrics`, :func:`serve_metrics`)
+run after a simulation ends and sample what the run already kept —
+:mod:`repro.engine.stats` histograms,
+:class:`~repro.engine.stats.UtilizationTracker` levels, bandwidth-server
+byte totals and plain numbers — so nothing is recorded twice and
+nothing runs during simulation: a run that never builds a registry pays
+nothing for it.
 
 Names are dot-separated hierarchies (``island0.dma.bytes``,
 ``abc.alloc.wait_cycles``, ``serve.t1.shed``); each segment is
@@ -15,8 +16,8 @@ JSON keys and Prometheus metric names (dots become underscores, with a
 ``repro_`` prefix).
 
 Exports are versioned (:data:`METRICS_SCHEMA_VERSION`) and round-trip:
-:meth:`MetricsRegistry.from_json_dict` rebuilds a registry of static
-samples from :meth:`MetricsRegistry.to_json_dict` output.
+:meth:`MetricsRegistry.from_json_dict` rebuilds the same metrics from
+:meth:`MetricsRegistry.to_json_dict` output.
 """
 
 from __future__ import annotations
@@ -41,8 +42,6 @@ _PROM_SANITIZE_RE = re.compile(r"[^a-zA-Z0-9_:]")
 #: Percentiles exported for histogram metrics.
 HISTOGRAM_PERCENTILES = (50.0, 95.0, 99.0)
 
-_Source = typing.Union[float, int, typing.Callable[[], float]]
-
 
 def _check_name(name: str) -> str:
     if not name:
@@ -56,19 +55,47 @@ def _check_name(name: str) -> str:
     return name
 
 
-class Metric:
-    """One named metric: a kind plus a ``values()`` sampler.
+def _histogram_values(hist: StatsHistogram) -> dict[str, float]:
+    """Count/mean/min/max plus the :data:`HISTOGRAM_PERCENTILES` order
+    statistics of ``hist`` (zeros when it is empty)."""
+    if hist.count == 0:
+        return dict.fromkeys(
+            ("count", "mean", "min", "max")
+            + tuple(f"p{p:g}" for p in HISTOGRAM_PERCENTILES),
+            0.0,
+        )
+    out = {
+        "count": float(hist.count),
+        "mean": hist.mean,
+        "min": hist.min,
+        "max": hist.max,
+    }
+    out.update((f"p{p:g}", hist.percentile(p)) for p in HISTOGRAM_PERCENTILES)
+    return out
 
-    ``components`` names the keys ``values()`` returns, so the keys the
-    metric flattens to are known before it is ever sampled.
+
+class Metric:
+    """One named metric: a kind and its sampled values.
+
+    ``kind`` is ``counter`` (a monotonically increasing total),
+    ``gauge`` (a level or a derived number), ``time_weighted_gauge``
+    (``average`` over the run and ``peak``) or ``histogram``
+    (count/mean/min/max and percentiles).  ``components`` names the
+    value keys in order, which is the order the metric flattens in.
     """
 
-    kind = "metric"
-    components: tuple = ("value",)
-
-    def __init__(self, name: str, help: str = "") -> None:
+    def __init__(
+        self,
+        name: str,
+        kind: str,
+        values: typing.Mapping[str, float],
+        help: str = "",
+    ) -> None:
         self.name = _check_name(name)
+        self.kind = kind
         self.help = help
+        self._values = dict(values)
+        self.components = tuple(self._values)
 
     def keys(self) -> tuple:
         """Flattened names: the bare name for a single-value metric,
@@ -78,112 +105,7 @@ class Metric:
         return tuple(f"{self.name}.{c}" for c in self.components)
 
     def values(self) -> dict[str, float]:
-        """Sample the metric now; keys are value-component names."""
-        raise NotImplementedError
-
-
-class _ScalarMetric(Metric):
-    """One value read from a number or a callable sampled on demand."""
-
-    def __init__(self, name: str, source: _Source, help: str = "") -> None:
-        super().__init__(name, help)
-        self._source = source
-
-    def values(self) -> dict[str, float]:
-        source = self._source
-        return {"value": float(source() if callable(source) else source)}
-
-
-class Counter(_ScalarMetric):
-    """A monotonically increasing total (bytes moved, grants made)."""
-
-    kind = "counter"
-
-
-class Gauge(_ScalarMetric):
-    """An instantaneous level (utilization, queue depth, a percentile)."""
-
-    kind = "gauge"
-
-
-class TimeWeightedGauge(Metric):
-    """Time-weighted average + peak of a level over a run.
-
-    A view over :class:`~repro.engine.stats.UtilizationTracker`: the
-    exported ``average`` integrates the level over [0, elapsed], and
-    ``peak`` is the high-water mark.
-    """
-
-    kind = "time_weighted_gauge"
-    components = ("average", "peak")
-
-    def __init__(
-        self,
-        name: str,
-        tracker: UtilizationTracker,
-        elapsed: typing.Union[float, typing.Callable[[], float]],
-        help: str = "",
-    ) -> None:
-        super().__init__(name, help)
-        self._tracker = tracker
-        self._elapsed = elapsed
-
-    def values(self) -> dict[str, float]:
-        elapsed = self._elapsed() if callable(self._elapsed) else self._elapsed
-        return {
-            "average": self._tracker.average(elapsed),
-            "peak": float(self._tracker.peak),
-        }
-
-
-class HistogramView(Metric):
-    """Distribution summary over an :class:`engine.stats.Histogram`.
-
-    Exports count/mean/min/max plus the :data:`HISTOGRAM_PERCENTILES`
-    order statistics (zeros when the histogram is empty).
-    """
-
-    kind = "histogram"
-    components = ("count", "mean", "min", "max") + tuple(
-        f"p{p:g}" for p in HISTOGRAM_PERCENTILES
-    )
-
-    def __init__(
-        self, name: str, histogram: StatsHistogram, help: str = ""
-    ) -> None:
-        super().__init__(name, help)
-        self._histogram = histogram
-
-    def values(self) -> dict[str, float]:
-        hist = self._histogram
-        if hist.count == 0:
-            out = {"count": 0.0, "mean": 0.0, "min": 0.0, "max": 0.0}
-            for p in HISTOGRAM_PERCENTILES:
-                out[f"p{p:g}"] = 0.0
-            return out
-        out = {
-            "count": float(hist.count),
-            "mean": hist.mean,
-            "min": hist.min,
-            "max": hist.max,
-        }
-        for p in HISTOGRAM_PERCENTILES:
-            out[f"p{p:g}"] = hist.percentile(p)
-        return out
-
-
-class _StaticMetric(Metric):
-    """A metric rebuilt from serialized samples (no live source)."""
-
-    def __init__(
-        self, name: str, kind: str, values: dict[str, float], help: str = ""
-    ) -> None:
-        super().__init__(name, help)
-        self.kind = kind
-        self._values = dict(values)
-        self.components = tuple(self._values)
-
-    def values(self) -> dict[str, float]:
+        """The sampled values, keyed by component name."""
         return dict(self._values)
 
 
@@ -221,37 +143,36 @@ class MetricsRegistry:
         self._key_owner.update(dict.fromkeys(keys, metric.name))
         return metric
 
-    def counter(self, name: str, source: _Source, help: str = "") -> Counter:
-        """Register and return a counter view."""
-        metric = Counter(name, source, help)
-        self.register(metric)
-        return metric
+    def counter(self, name: str, value: float, help: str = "") -> Metric:
+        """Register and return a counter holding ``value``."""
+        return self.register(Metric(name, "counter", {"value": float(value)}, help))
 
-    def gauge(self, name: str, source: _Source, help: str = "") -> Gauge:
-        """Register and return a gauge view."""
-        metric = Gauge(name, source, help)
-        self.register(metric)
-        return metric
+    def gauge(self, name: str, value: float, help: str = "") -> Metric:
+        """Register and return a gauge holding ``value``."""
+        return self.register(Metric(name, "gauge", {"value": float(value)}, help))
 
     def time_weighted_gauge(
         self,
         name: str,
         tracker: UtilizationTracker,
-        elapsed: typing.Union[float, typing.Callable[[], float]],
+        elapsed: float,
         help: str = "",
-    ) -> TimeWeightedGauge:
-        """Register and return a time-weighted gauge view."""
-        metric = TimeWeightedGauge(name, tracker, elapsed, help)
-        self.register(metric)
-        return metric
+    ) -> Metric:
+        """Register and return the time-weighted average of ``tracker``'s
+        level over [0, ``elapsed``] and its peak."""
+        values = {
+            "average": tracker.average(elapsed),
+            "peak": float(tracker.peak),
+        }
+        return self.register(Metric(name, "time_weighted_gauge", values, help))
 
     def histogram(
         self, name: str, histogram: StatsHistogram, help: str = ""
-    ) -> HistogramView:
-        """Register and return a histogram view."""
-        metric = HistogramView(name, histogram, help)
-        self.register(metric)
-        return metric
+    ) -> Metric:
+        """Register and return a summary of ``histogram``."""
+        return self.register(
+            Metric(name, "histogram", _histogram_values(histogram), help)
+        )
 
     # --------------------------------------------------------------- access
     def names(self) -> list[str]:
@@ -279,10 +200,7 @@ class MetricsRegistry:
         """
         out: dict[str, float] = {}
         for metric in self._metrics.values():
-            values = metric.values()
-            out.update(
-                zip(metric.keys(), (values[c] for c in metric.components))
-            )
+            out.update(zip(metric.keys(), metric.values().values()))
         return out
 
     # --------------------------------------------------------------- export
@@ -303,7 +221,7 @@ class MetricsRegistry:
 
     @classmethod
     def from_json_dict(cls, data: typing.Mapping) -> "MetricsRegistry":
-        """Rebuild a registry of static samples from a JSON snapshot.
+        """Rebuild a registry from a JSON snapshot.
 
         Anything but a snapshot object with well-formed metric entries
         raises :class:`ConfigError`.
@@ -335,9 +253,7 @@ class MetricsRegistry:
                     f"serialized metric {entry['name']!r} field 'values': {err}"
                 ) from None
             registry.register(
-                _StaticMetric(
-                    entry["name"], entry["kind"], values, entry.get("help", "")
-                )
+                Metric(entry["name"], entry["kind"], values, entry.get("help", ""))
             )
         return registry
 
@@ -373,7 +289,7 @@ class MetricsRegistry:
                 lines.append(f"{base} {values['average']:g}")
                 lines.append(f"# TYPE {base}_peak gauge")
                 lines.append(f"{base}_peak {values['peak']:g}")
-            else:  # gauge and static kinds with a single value
+            else:  # gauges, and any kind read back from a snapshot
                 lines.append(f"# HELP {base} {metric.help}".rstrip())
                 lines.append(f"# TYPE {base} gauge")
                 for component, value in sorted(values.items()):

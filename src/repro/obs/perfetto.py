@@ -44,6 +44,11 @@ def trace_events(tracer: Tracer) -> list[dict]:
     event per span in record order.  Pid/tid assignment is independent
     of record order (sorted by name), so two traces of the same run are
     byte-identical.
+
+    Each span is checked as its event is built, so every event returned
+    satisfies :func:`validate_events`: a span that does not lie in
+    ``0 <= start <= end < inf`` or has an empty kind raises
+    :class:`~repro.errors.ConfigError` naming its index.
     """
     spans = tracer.spans
     actors = sorted({span[2] for span in spans})
@@ -72,7 +77,15 @@ def trace_events(tracer: Tracer) -> list[dict]:
                 "args": {"name": actor},
             }
         )
-    for start, end, actor, kind, label, ref, span_args in spans:
+    inf = math.inf
+    for index, span in enumerate(spans):
+        start, end, actor, kind, label, ref, span_args = span
+        # NaN fails every comparison, so one chain rejects it too.
+        if not (0.0 <= start <= end < inf) or not kind:
+            raise ConfigError(
+                f"span {index} cannot be exported: {span!r} needs "
+                f"0 <= start <= end < inf and a non-empty kind"
+            )
         args: dict = {}
         if ref:
             args["ref"] = ref
@@ -127,10 +140,8 @@ def validate_events(events: typing.Sequence[typing.Mapping]) -> None:
 
 def trace_document(tracer: Tracer, note: str = "") -> dict:
     """Build the full Perfetto-loadable JSON document for a trace."""
-    events = trace_events(tracer)
-    validate_events(events)
     return {
-        "traceEvents": events,
+        "traceEvents": trace_events(tracer),
         "displayTimeUnit": "ms",
         "otherData": {
             "schema_version": TRACE_SCHEMA_VERSION,

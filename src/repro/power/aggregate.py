@@ -8,6 +8,7 @@ under a named category (``abb``, ``spm``, ``island_net``, ``noc``,
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from repro.errors import ConfigError
@@ -33,8 +34,10 @@ class EnergyAccount:
 
     def add_static_power(self, power_mw: float) -> None:
         """Register always-on leakage power for the run."""
-        if power_mw < 0:
-            raise ConfigError(f"power must be non-negative, got {power_mw}")
+        if not 0 <= power_mw < math.inf:
+            raise ConfigError(
+                f"power must be finite and non-negative, got {power_mw}"
+            )
         self.static_power_mw += power_mw
 
     def static_energy_nj(self, elapsed_cycles: float) -> float:

@@ -91,10 +91,11 @@ class ArrivalConfig:
                 raise ConfigError("trace arrivals need at least one time")
             previous = -math.inf
             for time in self.trace:
-                if not 0 <= time < math.inf:
+                # bool is an int subclass: True would pass as time 1.0.
+                if isinstance(time, bool) or not 0 <= time < math.inf:
                     raise ConfigError(
-                        f"trace arrival times must be finite and "
-                        f"non-negative, got {time}"
+                        f"trace arrival times must be finite, non-negative "
+                        f"numbers, got {time!r}"
                     )
                 if time < previous:
                     raise ConfigError("trace arrival times must be sorted")

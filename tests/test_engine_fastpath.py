@@ -23,7 +23,7 @@ from repro.engine import (
     Pipeline,
     Simulator,
 )
-from repro.engine.trace import TraceRecord, Tracer
+from repro.engine.trace import Tracer
 from repro.errors import ConfigError, SimulationError
 from repro.faults import DMA_DROP, DMA_STALL, FaultInjector, parse_fault_spec
 
@@ -251,8 +251,8 @@ class TestPipeline:
         )
         Pipeline(sim, stages, 64.0, "t0.a")
         sim.run()
-        assert tracer.records == [
-            TraceRecord(3.0, 3.0 + 64.0 / 4.0 + 2.0, "island0.dma", "dma", "64B", "t0.a")
+        assert tracer.spans == [
+            (3.0, 3.0 + 64.0 / 4.0 + 2.0, "island0.dma", "dma", "64B", "t0.a", None)
         ]
 
 
@@ -266,7 +266,6 @@ class TestTracerSpan:
         slow.record(0.0, 4.0, "mc0", "mem", "64B", "t1.a")
         slow.record(1.0, 2.0, "mesh.0,1->2,3", "noc", "48B/4h")
         slow.record(2.0, 5.0, "island0.slot1", "compute", "t1.a", "t1.a", {"invocations": 3})
-        assert fast.records == slow.records
         assert fast.spans == slow.spans
 
     def test_names_formatted_once(self):
@@ -375,22 +374,13 @@ class TestPooledTimeoutRecycling:
 
 
 class TestLazyTracerMaterialization:
-    def test_records_built_from_spans_on_each_read(self):
-        tracer = Tracer()
-        tracer.record(0.0, 1.0, "a", "compute")
-        first = tracer.records
-        assert first == [TraceRecord(0.0, 1.0, "a", "compute")]
-        first.append(TraceRecord(1.0, 2.0, "b", "mem"))  # a copy, not the trace
-        assert tracer.records == [TraceRecord(0.0, 1.0, "a", "compute")]
-        assert tracer.spans == [(0.0, 1.0, "a", "compute", "", "", None)]
-
     def test_spans_recorded_after_access_appear(self):
         tracer = Tracer()
         tracer.record(0.0, 1.0, "a", "compute")
-        assert len(tracer.records) == 1
+        assert tracer.spans == [(0.0, 1.0, "a", "compute", "", "", None)]
+        assert len(tracer) == 1
         tracer.record(1.0, 2.0, "b", "mem")
-        recs = tracer.records
-        assert [r.actor for r in recs] == ["a", "b"]
+        assert [span[2] for span in tracer.spans] == ["a", "b"]
         assert len(tracer) == 2
 
     def test_record_validation_errors_preserved(self):
@@ -402,9 +392,10 @@ class TestLazyTracerMaterialization:
         assert len(tracer) == 0  # nothing slipped in
 
     def test_trace_record_still_immutable(self):
-        rec = TraceRecord(0.0, 1.0, "a", "compute")
-        with pytest.raises(Exception):
-            rec.start = 5.0
+        tracer = Tracer()
+        tracer.record(0.0, 1.0, "a", "compute")
+        with pytest.raises(TypeError):
+            tracer.spans[0][0] = 5.0
 
 
 def test_process_non_event_yield_closes_generator():

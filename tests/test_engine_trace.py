@@ -4,19 +4,19 @@ import pytest
 
 from repro.abb import ABBFlowGraph
 from repro.core import TileScheduler
-from repro.engine.trace import TraceRecord, Tracer
+from repro.engine.trace import Tracer
 from repro.errors import ConfigError
 from repro.sim import SystemConfig, SystemModel
 
 
 class TestTraceRecord:
-    def test_duration(self):
-        rec = TraceRecord(10.0, 25.0, "a", "compute")
-        assert rec.duration == 15.0
+    """Tracer.record() checks every span before it stores the tuple."""
 
     def test_backwards_span_rejected(self):
-        with pytest.raises(ConfigError):
-            TraceRecord(10.0, 5.0, "a", "compute")
+        tracer = Tracer()
+        with pytest.raises(ConfigError, match="ends before it starts"):
+            tracer.record(10.0, 5.0, "a", "compute")
+        assert tracer.spans == []
 
     @pytest.mark.parametrize(
         "start,end",
@@ -32,13 +32,17 @@ class TestTraceRecord:
     def test_non_finite_span_rejected(self, start, end):
         # Regression: NaN compares False against everything, so the
         # `end < start` check alone silently admitted NaN spans.
-        with pytest.raises(ConfigError):
-            TraceRecord(start, end, "a", "compute")
+        tracer = Tracer()
+        with pytest.raises(ConfigError, match="span times must be finite"):
+            tracer.record(start, end, "a", "compute")
+        assert tracer.spans == []
 
     def test_ref_and_args_carried(self):
-        rec = TraceRecord(0.0, 1.0, "a", "compute", "lbl", "t0.x", {"k": 1})
-        assert rec.ref == "t0.x"
-        assert rec.args == {"k": 1}
+        tracer = Tracer()
+        tracer.record(0.0, 1.0, "a", "compute", "lbl", "t0.x", {"k": 1})
+        assert tracer.spans == [
+            (0.0, 1.0, "a", "compute", "lbl", "t0.x", {"k": 1})
+        ]
 
 
 class TestTracer:
@@ -51,8 +55,14 @@ class TestTracer:
 
     def test_query_by_actor_and_kind(self):
         t = self.make_tracer()
-        assert len(t.by_actor("abb0")) == 2
-        assert len(t.by_kind("compute")) == 2
+        assert [span[3] for span in t.spans if span[2] == "abb0"] == [
+            "compute",
+            "writeback",
+        ]
+        assert [span[2] for span in t.spans if span[3] == "compute"] == [
+            "abb0",
+            "abb1",
+        ]
         assert t.actors() == ["abb0", "abb1"]
 
     def test_busy_and_kind_cycles(self):
@@ -78,8 +88,10 @@ class TestTracer:
         t.record(0, 5, "a", "dma", ref="t0.x")
         t.record(5, 9, "b", "noc", ref="t0.x")
         t.record(0, 2, "a", "dma", ref="t0.y")
-        assert len(t.by_ref("t0.x")) == 2
-        assert [r.actor for r in t.by_ref("t0.y")] == ["a"]
+        # The ref is field 5 of a span tuple, where the critical-path
+        # analyzer reads it.
+        assert [span[2] for span in t.spans if span[5] == "t0.x"] == ["a", "b"]
+        assert [span[2] for span in t.spans if span[5] == "t0.y"] == ["a"]
 
     def test_end_time(self):
         assert self.make_tracer().end_time() == 14.0
@@ -150,9 +162,11 @@ class TestGantt:
         chart_rows = t.gantt(width=width).splitlines()[1:]
         for actor, row in zip(t.actors(), chart_rows):
             cells = ["."] * width
-            for rec in t.by_actor(actor):
-                lo = min(width - 1, int(rec.start * scale))
-                hi = min(width, max(lo + 1, int(rec.end * scale)))
+            for start, stop, owner, *_ in t.spans:
+                if owner != actor:
+                    continue
+                lo = min(width - 1, int(start * scale))
+                hi = min(width, max(lo + 1, int(stop * scale)))
                 for i in range(lo, hi):
                     cells[i] = "#"
             assert row == f"{actor:<3}|{''.join(cells)}|"
@@ -176,12 +190,12 @@ class TestSchedulerIntegration:
         graph.add_edge("a", "b")
         TileScheduler(system, graph, tile_id=0).run()
         system.sim.run()
-        kinds = {r.kind for r in tracer.records}
+        kinds = {span[3] for span in tracer.spans}
         assert "compute" in kinds
         assert "gather" in kinds
         assert "writeback" in kinds
         # Compute spans exist for both tasks.
-        assert len(tracer.by_kind("compute")) == 2
+        assert [span[3] for span in tracer.spans].count("compute") == 2
 
     def test_tracing_does_not_change_timing(self):
         def run(tracer):

@@ -60,6 +60,15 @@ class TestSegmentation:
         with pytest.raises(ConfigError):
             MeshNoC(sim, topo, segment_bytes=8.0)
 
+    @pytest.mark.parametrize("segment", [float("nan"), float("inf")])
+    def test_non_finite_segment_rejected_at_construction(self, segment):
+        # Regression: `nan <= header` is false, so NaN was accepted and
+        # the first transfer died in math.ceil with a bare ValueError.
+        sim = Simulator()
+        topo = MeshTopology(n_islands=2)
+        with pytest.raises(ConfigError, match="segment size"):
+            MeshNoC(sim, topo, segment_bytes=segment)
+
     def test_fluid_mode_counts_no_packets(self):
         sim, topo, noc = self.make(segment=None)
         run_transfer(sim, noc.transfer(topo.island(0), topo.island(1), 512))

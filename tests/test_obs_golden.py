@@ -12,8 +12,9 @@ from dataclasses import replace
 
 import pytest
 
+import repro.sim.run
 from repro.engine.trace import Tracer
-from repro.obs import write_trace
+from repro.obs import serve_metrics, system_metrics, write_trace
 from repro.serve import ArrivalConfig, ServeConfig, make_tenants, run_serve
 from repro.sim import SystemConfig, run_workload
 from repro.sim.serialize import record_to_dict
@@ -93,4 +94,39 @@ def test_exported_trace_bytes_pinned(tmp_path):
     assert len(tracer) == 356
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
         "70d50dc911bf8c2a399f1508e83f081556ad1636ed3c6f4a47438001f775fc8b"
+    )
+
+
+def test_exported_metrics_bytes_pinned(tmp_path, monkeypatch):
+    """The metrics exports of the golden Denoise run and of one small
+    serving session, byte for byte."""
+    systems = []
+
+    class Recorded(repro.sim.run.SystemModel):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            systems.append(self)
+
+    monkeypatch.setattr(repro.sim.run, "SystemModel", Recorded)
+    run_workload(golden_config("xbar"), get_workload("Denoise", tiles=4))
+    (system,) = systems
+    registry = system_metrics(system, system.sim.now)
+    path = tmp_path / "system.json"
+    registry.save(str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "144842030dbd80af56556cf3b69885d70a8a899448abde6ce4a64fea20ea339f"
+    )
+    assert hashlib.sha256(registry.to_prometheus().encode()).hexdigest() == (
+        "e808959923a427fd6a641bca363174dd7fbcf8bb9064bb71ccbd391d4fd53bf2"
+    )
+
+    tenants = make_tenants(2, [denoise()], ArrivalConfig(rate_per_mcycle=20.0))
+    result = run_serve(
+        SystemConfig(n_islands=3),
+        ServeConfig(tenants=tenants, duration_cycles=200_000.0),
+    )
+    path = tmp_path / "serve.json"
+    serve_metrics(result).save(str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "045bc09eeac96fbde9b9cf348c2030d62295b3856d5714bf8e28cf6db5ea9248"
     )

@@ -77,21 +77,6 @@ class TestKeyCollisions:
 
 
 class TestViews:
-    def test_counter_over_callable_source(self):
-        total = [0]
-        registry = MetricsRegistry()
-        metric = registry.counter("events.n", lambda: total[0])
-        total[0] += 3
-        total[0] += 4
-        assert metric.values() == {"value": 7.0}
-
-    def test_gauge_over_callable_samples_live(self):
-        level = [0.0]
-        registry = MetricsRegistry()
-        metric = registry.gauge("queue.depth", lambda: level[0])
-        level[0] = 5.0
-        assert metric.values() == {"value": 5.0}
-
     def test_time_weighted_gauge(self):
         tracker = UtilizationTracker(capacity=4, name="abbs")
         tracker.adjust(+2, 0.0)

@@ -107,6 +107,27 @@ class TestValidation:
         with pytest.raises(ConfigError):
             validate_events([event])
 
+    @pytest.mark.parametrize(
+        "span",
+        [
+            (-1.0, 2.0, "island0.dma", "dma", "", "", None),
+            (float("nan"), 2.0, "island0.dma", "dma", "", "", None),
+            (1.0, float("nan"), "island0.dma", "dma", "", "", None),
+            (1.0, 0.5, "island0.dma", "dma", "", "", None),
+            (1.0, float("inf"), "island0.dma", "dma", "", "", None),
+            (1.0, 2.0, "island0.dma", "", "", "t0.x", None),
+        ],
+        ids=["negative-start", "nan-start", "nan-end", "backwards", "inf-end",
+             "empty-kind"],
+    )
+    def test_document_checks_spans_appended_directly(self, span):
+        # Tracer.record() rejects these; a span appended straight to the
+        # list is caught while its event is built, named by its index.
+        tracer = make_tracer()
+        tracer.spans.append(span)
+        with pytest.raises(ConfigError, match="span 3 "):
+            trace_document(tracer)
+
 
 class TestDocumentIO:
     def test_document_shape(self):
@@ -140,7 +161,7 @@ class TestDocumentIO:
         complete = [
             e for e in document["traceEvents"] if e["ph"] == "X"
         ]
-        assert len(complete) == len(tracer.records)
+        assert len(complete) == len(tracer)
         # Task spans correlate with data-path spans through the ref.
         refs = {
             e["args"]["ref"]

@@ -119,6 +119,12 @@ class TestArrivals:
         with pytest.raises(ConfigError, match="list of times"):
             trace_from_file(str(path))
 
+    @pytest.mark.parametrize("trace", [(True, 5.0), (1.0, False)])
+    def test_boolean_trace_times_rejected_in_config(self, trace):
+        # Built directly, not through trace_from_file: True is an int.
+        with pytest.raises(ConfigError, match="trace arrival times"):
+            ArrivalConfig(kind="trace", trace=trace)
+
     def test_unreadable_trace_rejected(self, tmp_path):
         path = tmp_path / "trace.txt"
         path.write_text("not a number\n")

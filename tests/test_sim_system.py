@@ -74,6 +74,13 @@ class TestSystemConfig:
         with pytest.raises(ConfigError):
             SystemModel(SystemConfig(**{field: float("nan")}))
 
+    @pytest.mark.parametrize("power", [float("nan"), float("inf")])
+    def test_non_finite_static_power_rejected_at_build(self, power):
+        """Regression: a NaN platform power passed the `< 0` check and
+        the run reported energy_nj=nan."""
+        with pytest.raises(ConfigError, match="power must be finite"):
+            SystemModel(SystemConfig(platform_static_mw=power))
+
 
 class TestSystemModel:
     def test_builds_all_islands(self):

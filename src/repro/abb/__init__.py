@@ -4,8 +4,8 @@ CHARM decomposes monolithic accelerators into a small set of fixed-function
 blocks — 16-input polynomial, FP divide, square root, power, and sum — that
 the ABC composes at runtime into virtual accelerators.  This package holds
 the type specifications, the standard library with the paper's 120-ABB mix,
-the dynamic ABB instance model, and the dataflow graphs that describe
-compositions.
+and the dataflow graphs that describe compositions.  Which task holds a
+placed ABB is recorded by its island (:mod:`repro.island.island`).
 """
 
 from repro.abb.types import ABBType
@@ -16,13 +16,10 @@ from repro.abb.library import (
     standard_library,
 )
 from repro.abb.flowgraph import ABBFlowGraph, ABBTask
-from repro.abb.instance import ABBInstance, ABBState
 
 __all__ = [
     "ABBFlowGraph",
-    "ABBInstance",
     "ABBLibrary",
-    "ABBState",
     "ABBTask",
     "ABBType",
     "PAPER_ABB_MIX",

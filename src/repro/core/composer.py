@@ -8,7 +8,8 @@ available compute resources [8].
 The ABC here is the allocation authority of the simulated system: every
 task asks it for an ABB of the right type and receives a :class:`Grant`
 naming ``(island, slot)``, possibly after waiting FIFO for one to free
-up.
+up.  The grant itself is the slot's holder on the island, so only the
+grant the ABC handed out can release the slot.
 
 Under fault injection the ABC is also the graceful-degradation
 authority: failed slots are skipped (virtual accelerators re-compose
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 import collections
 import typing
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.allocation import AllocationPolicy, locality_then_load_balance
 from repro.engine import Event, Simulator
@@ -41,6 +42,9 @@ SOFTWARE_FALLBACK = "software-fallback"
 class Grant:
     """An allocated ABB slot, returned by :meth:`ABC.request`.
 
+    The island records this object as the slot's holder and releases
+    the slot only to it, not to an equal copy.
+
     Attributes:
         island_index: Which island the block sits on.
         slot: Slot index within the island.
@@ -52,7 +56,6 @@ class Grant:
     island_index: int
     slot: int
     type_name: str
-    _token: object = field(repr=False, default=None)
     granted_at: float = 0.0
 
 
@@ -84,28 +87,20 @@ class AcceleratorBlockComposer:
         # Queued waiters per type, kept in step with `_waiters`.
         self._queued: dict[str, int] = {}
         self._serial = 0
-        # Request-path caches: island ABB mixes are fixed at
-        # construction, so type existence never changes; and until the
-        # fault layer reports a hard failure every existing slot is
-        # operational, making both checks O(1) on clean platforms.
-        self._type_exists_cache: dict[str, bool] = {}
+        # Island ABB mixes are fixed at construction, so the set of
+        # types the platform carries never changes; until the fault
+        # layer reports a hard failure every such slot is operational,
+        # which makes both request-path checks O(1) on clean platforms.
+        self._types = frozenset(
+            t.name for island in self.islands for t in island.slot_types
+        )
         self._any_failures = False
         self.wait_cycles = Histogram("abc.wait")
         self.service_cycles = Histogram("abc.service")
-        self.total_grants = 0
         self.total_queued = 0
         self.fallback_grants = 0
 
     # ------------------------------------------------------------ internals
-    def _type_exists(self, type_name: str) -> bool:
-        exists = self._type_exists_cache.get(type_name)
-        if exists is None:
-            exists = any(
-                island.slots_of_type(type_name) for island in self.islands
-            )
-            self._type_exists_cache[type_name] = exists
-        return exists
-
     def _type_operational(self, type_name: str) -> bool:
         """Whether any non-failed slot of a type survives anywhere.
 
@@ -114,7 +109,7 @@ class AcceleratorBlockComposer:
         hardware composition impossible.
         """
         if not self._any_failures:
-            return self._type_exists(type_name)
+            return type_name in self._types
         return any(
             island.operational_slots(type_name) for island in self.islands
         )
@@ -127,10 +122,9 @@ class AcceleratorBlockComposer:
         for island_idx in order:
             free = self.islands[island_idx].free_slots(type_name)
             if free:
-                slot = free[0]
-                token = object()
-                self.islands[island_idx].allocate(slot, token)
-                return Grant(island_idx, slot, type_name, token, self.sim.now)
+                grant = Grant(island_idx, free[0], type_name, self.sim.now)
+                self.islands[island_idx].allocate(grant.slot, grant)
+                return grant
         return None
 
     # --------------------------------------------------------------- public
@@ -147,7 +141,7 @@ class AcceleratorBlockComposer:
         service, the event instead fires immediately with
         :data:`SOFTWARE_FALLBACK` and the caller runs in software.
         """
-        if not self._type_exists(type_name):
+        if type_name not in self._types:
             raise AllocationError(
                 f"no island carries ABB type {type_name!r}; "
                 f"the platform cannot compose this graph"
@@ -159,7 +153,6 @@ class AcceleratorBlockComposer:
             return event
         grant = self._try_allocate(type_name, preferred_island)
         if grant is not None:
-            self.total_grants += 1
             self.wait_cycles.record(0.0)
             event.succeed(grant)
         else:
@@ -170,16 +163,14 @@ class AcceleratorBlockComposer:
             self._queued[type_name] = self._queued.get(type_name, 0) + 1
         return event
 
-    def release(self, grant: Grant, invocations: int) -> None:
+    def release(self, grant: Grant) -> None:
         """Return a granted slot; retries queued waiters in FIFO order."""
         if not 0 <= grant.island_index < len(self.islands):
             raise ConfigError(f"island index {grant.island_index} out of range")
         # The island validates before it mutates; recording afterwards
         # keeps a rejected release (e.g. a double release) out of the
         # service-time statistics too.
-        self.islands[grant.island_index].release(
-            grant.slot, grant._token, invocations
-        )
+        self.islands[grant.island_index].release(grant.slot, grant)
         self.service_cycles.record(self.sim.now - grant.granted_at)
         self._drain_waiters()
 
@@ -241,7 +232,6 @@ class AcceleratorBlockComposer:
                         requeued.append(waiter)
                         continue
                     resolution = grant
-                    self.total_grants += 1
                     self.wait_cycles.record(self.sim.now - waiter.requested_at)
                 progress = True
                 bound[type_name] -= 1

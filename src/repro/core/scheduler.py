@@ -284,7 +284,7 @@ class TileScheduler:
                 tag,
             )
             self._trace(writeback_start, "writeback", actor, tag, tag)
-        system.abc.release(grant, task.invocations)
+        system.abc.release(grant)
         self._trace_task(requested_at, actor, task_id, producers)
         self._done[task_id].succeed(task_id)
 

@@ -92,34 +92,34 @@ class Histogram:
 class UtilizationTracker:
     """Time-weighted average of a level (e.g. busy ABBs) over a run.
 
-    Call ``set_level`` whenever the level changes; query ``average`` at the
-    end with the final time.
+    Call ``set_level`` whenever the level changes (``level`` holds the
+    current one); query ``average`` at the end with the final time.
     """
 
     def __init__(self, capacity: float, name: str = "") -> None:
         self.name = name
         self.capacity = capacity
-        self._level = 0.0
+        self.level = 0.0
         self._last_time = 0.0
         self._area = 0.0  # integral of level over time
         self.peak = 0.0
 
     def set_level(self, level: float, now: float) -> None:
         """Record that the level changed to ``level`` at time ``now``."""
-        self._area += self._level * (now - self._last_time)
-        self._level = level
+        self._area += self.level * (now - self._last_time)
+        self.level = level
         self._last_time = now
         self.peak = max(self.peak, level)
 
     def adjust(self, delta: float, now: float) -> None:
         """Shift the level by ``delta`` at time ``now``."""
-        self.set_level(self._level + delta, now)
+        self.set_level(self.level + delta, now)
 
     def average(self, end_time: float) -> float:
         """Time-weighted mean level from 0 to ``end_time``."""
         if end_time <= 0:
             return 0.0
-        area = self._area + self._level * (end_time - self._last_time)
+        area = self._area + self.level * (end_time - self._last_time)
         return area / end_time
 
     def average_utilization(self, end_time: float) -> float:

@@ -31,6 +31,7 @@ draw comes from streams derived solely from the seed.
 from __future__ import annotations
 
 import hashlib
+import math
 import random
 import typing
 from dataclasses import dataclass, field, fields, replace
@@ -114,16 +115,17 @@ class FaultSpec:
             raise ConfigError(
                 "dma_stall_prob + dma_drop_prob must not exceed 1"
             )
-        if self.abb_failure_window <= 0:
-            raise ConfigError("abb_failure_window must be positive")
-        if self.dma_stall_cycles < 0 or self.dma_timeout_cycles < 0:
-            raise ConfigError("DMA fault delays must be non-negative")
+        # The finite upper bounds reject NaN and infinities, which would
+        # otherwise pass and stop the run mid-way.
+        if not 0 < self.abb_failure_window < math.inf:
+            raise ConfigError("abb_failure_window must be positive and finite")
+        for name in ("dma_stall_cycles", "dma_timeout_cycles", "dma_backoff_base"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ConfigError(f"{name} must be finite and non-negative")
         if self.dma_max_retries < 0:
             raise ConfigError("dma_max_retries must be non-negative")
-        if self.dma_backoff_base < 0:
-            raise ConfigError("dma_backoff_base must be non-negative")
-        if self.noc_degrade_factor < 1.0:
-            raise ConfigError("noc_degrade_factor must be >= 1")
+        if not 1.0 <= self.noc_degrade_factor < math.inf:
+            raise ConfigError("noc_degrade_factor must be finite and >= 1")
 
     # -------------------------------------------------------------- queries
     @property

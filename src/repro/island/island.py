@@ -7,7 +7,9 @@ declared once as a stage tuple (see :mod:`repro.engine.pipeline`):
 * ``egress(slot, nbytes)``   — SPM -> internal net -> DMA -> NoC link out;
 * ``chain_local(src, dst, nbytes)`` — SPM -> internal net -> SPM.
 
-It also owns slot allocation, including the Section 5.1 neighbour-lockout
+It also owns slot allocation and is the one record of slot occupancy:
+each slot's holder (the ABC's grant, None when free) and whether its ABB
+is computing.  Allocation includes the Section 5.1 neighbour-lockout
 semantics of SPM sharing (allocating an ABB temporarily claims its
 neighbours' banks, rendering the neighbours unusable).
 """
@@ -16,8 +18,8 @@ from __future__ import annotations
 
 import typing
 
-from repro.abb.instance import ABBInstance, ABBState
 from repro.abb.library import ABBLibrary
+from repro.abb.types import ABBType
 from repro.engine import (
     DMA,
     HOOK,
@@ -29,7 +31,7 @@ from repro.engine import (
     UtilizationTracker,
 )
 from repro.engine.trace import Tracer
-from repro.errors import AllocationError, ConfigError
+from repro.errors import AllocationError, ConfigError, SimulationError
 from repro.faults import FaultInjector
 from repro.island.config import IslandConfig
 from repro.island.networks import SpmDmaNetwork, build_network
@@ -64,21 +66,24 @@ class Island:
         self.sim = sim
         self.island_id = island_id
         self.config = config
-        self.library = library
         self.energy = energy if energy is not None else EnergyAccount()
-        self.tracer = tracer
 
         # Slots: one ABB + one SPM group per slot, laid out in a fixed
-        # physical order (types interleaved as given by the mix).
-        self.abbs: list[ABBInstance] = []
-        self.spm_groups: list[SPMGroup] = []
-        next_id = island_id * 10_000
-        for type_name in sorted(config.abb_mix):
-            abb_type = library.get(type_name)
-            for _ in range(config.abb_mix[type_name]):
-                self.abbs.append(ABBInstance(next_id, abb_type, island_id))
-                self.spm_groups.append(SPMGroup(abb_type, config.spm_porting))
-                next_id += 1
+        # physical order (types in name order, as many as the mix gives).
+        self.slot_types: tuple[ABBType, ...] = tuple(
+            library.get(type_name)
+            for type_name in sorted(config.abb_mix)
+            for _ in range(config.abb_mix[type_name])
+        )
+        self.spm_groups = [
+            SPMGroup(abb_type, config.spm_porting) for abb_type in self.slot_types
+        ]
+        self.n_slots = n_slots = len(self.slot_types)
+        # Slot occupancy: the holder of each slot (None when free) and
+        # whether its ABB is computing.  A held slot that is not
+        # computing is reserved: its operands may still be loading.
+        self._holders: list[object] = [None] * n_slots
+        self._computing = [False] * n_slots
 
         self.network: SpmDmaNetwork = build_network(
             sim,
@@ -112,30 +117,24 @@ class Island:
 
         # Sharing lockout bookkeeping (Sec. 5.1): count of neighbours that
         # currently borrow this slot's banks.
-        self._neighbor_locks = [0] * len(self.abbs)
+        self._neighbor_locks = [0] * n_slots
         # Fault state: a failed slot is permanently out of service for
         # *new* allocations; an in-flight task drains and releases
         # normally (fail-stop after drain).
-        self.fault_injector = fault_injector
-        self._failed = [False] * len(self.abbs)
+        self._failed = [False] * n_slots
         # Allocation-policy hot-path state: the slot layout is fixed
-        # after construction, so the per-type slot lists are built once,
-        # and the busy count is maintained by allocate/release instead
-        # of recounted per query (busy_fraction runs on every policy
-        # evaluation of every request).
+        # after construction, so the per-type slot lists are built once.
         self._slots_by_type: dict[str, list[int]] = {}
-        for index, abb in enumerate(self.abbs):
-            self._slots_by_type.setdefault(abb.abb_type.name, []).append(index)
-        self._slot_count = len(self.abbs)
-        self._busy_slots = 0
+        for index, abb_type in enumerate(self.slot_types):
+            self._slots_by_type.setdefault(abb_type.name, []).append(index)
         # The neighbours whose banks a slot borrows while allocated
         # (Sec. 5.1): its physical neighbours with SPM sharing, none
         # without.
         self._neighbors = [
-            tuple(n for n in (slot - 1, slot + 1) if 0 <= n < self._slot_count)
+            tuple(n for n in (slot - 1, slot + 1) if 0 <= n < n_slots)
             if config.spm_sharing
             else ()
-            for slot in range(self._slot_count)
+            for slot in range(n_slots)
         ]
         # The usable-slot index: per type, the ascending tuple of slots
         # `slot_usable` accepts.  Usability only changes in allocate,
@@ -147,7 +146,7 @@ class Island:
             for type_name, slots in self._slots_by_type.items()
         }
         self.abb_tracker = UtilizationTracker(
-            capacity=len(self.abbs), name=f"island{island_id}.abbs"
+            capacity=n_slots, name=f"island{island_id}.abbs"
         )
 
         # Data paths.  ``run.ctx`` is ``(src_slot, dst_slot)``, None
@@ -177,11 +176,6 @@ class Island:
         self._chain_path = (read, net, write)
 
     # -------------------------------------------------------------- queries
-    @property
-    def n_slots(self) -> int:
-        """Number of ABB slots on the island."""
-        return len(self.abbs)
-
     def slots_of_type(self, type_name: str) -> list[int]:
         """Slot indices whose ABB is of ``type_name``.
 
@@ -194,18 +188,16 @@ class Island:
     def slot_usable(self, slot: int) -> bool:
         """Whether a slot can be allocated right now.
 
-        Requires an operational (non-failed) slot, a free ABB, a free SPM
-        group, and — with sharing enabled — that no neighbour has
-        borrowed the slot's banks.
+        Requires an operational (non-failed) slot that no task holds,
+        and — with sharing enabled — that no neighbour has borrowed the
+        slot's banks.
         """
         self._check_slot(slot)
-        if self._failed[slot]:
-            return False
-        if not self.abbs[slot].is_free or not self.spm_groups[slot].is_free:
-            return False
-        if self.config.spm_sharing and self._neighbor_locks[slot] > 0:
-            return False
-        return True
+        return not (
+            self._failed[slot]
+            or self._holders[slot] is not None
+            or self._neighbor_locks[slot]
+        )
 
     def free_slots(self, type_name: str) -> tuple[int, ...]:
         """Usable slots of a given ABB type, ascending (O(1), maintained)."""
@@ -228,46 +220,48 @@ class Island:
         return sum(1 for failed in self._failed if failed)
 
     def busy_fraction(self) -> float:
-        """Fraction of slots currently allocated (O(1), maintained)."""
-        return self._busy_slots / self._slot_count
+        """Fraction of slots currently allocated (O(1): ``abb_tracker``
+        keeps the busy count)."""
+        return self.abb_tracker.level / self.n_slots
 
     # ----------------------------------------------------------- allocation
     def allocate(self, slot: int, owner: object) -> None:
-        """Claim a slot for a task; applies sharing lockout to neighbours."""
+        """Claim a slot for ``owner``; applies sharing lockout to
+        neighbours.  Only ``owner`` can release it."""
         if not self.slot_usable(slot):
             raise AllocationError(
                 f"island {self.island_id}: slot {slot} not usable"
             )
-        self.abbs[slot].reserve(self.sim.now)
-        self.spm_groups[slot].acquire(owner)
+        self._holders[slot] = owner
         neighbors = self._neighbors[slot]
         for neighbor in neighbors:
             self._neighbor_locks[neighbor] += 1
         self._reindex((slot,) + neighbors)
-        self._busy_slots += 1
         self.abb_tracker.adjust(+1, self.sim.now)
 
-    def release(self, slot: int, owner: object, invocations: int) -> None:
+    def release(self, slot: int, owner: object) -> None:
         """Return a slot to the pool after its task completes.
 
         Every check runs before anything changes, so a bad release
-        (wrong owner, a block that is not computing) raises and leaves
-        the slot, its SPM group and the usable-slot index as they were.
+        (a block that is not computing, a caller that is not the
+        holder) raises and leaves the slot and the usable-slot index as
+        they were.
         """
         self._check_slot(slot)
-        abb = self.abbs[slot]
-        group = self.spm_groups[slot]
-        abb.require_state(ABBState.COMPUTING, "finished")
-        group.require_owner(owner)
+        if not self._computing[slot]:
+            self._raise_state(slot, "finished")
+        if self._holders[slot] is not owner:
+            raise SimulationError(
+                f"island {self.island_id}: slot {slot} released by non-owner"
+            )
         neighbors = self._neighbors[slot]
         if any(self._neighbor_locks[n] <= 0 for n in neighbors):
             raise AllocationError("sharing lock underflow")
-        abb.finish(self.sim.now, invocations)
-        group.release(owner)
+        self._holders[slot] = None
+        self._computing[slot] = False
         for neighbor in neighbors:
             self._neighbor_locks[neighbor] -= 1
         self._reindex((slot,) + neighbors)
-        self._busy_slots -= 1
         self.abb_tracker.adjust(-1, self.sim.now)
 
     def fail_slot(self, slot: int) -> str:
@@ -285,14 +279,14 @@ class Island:
             )
         self._failed[slot] = True
         self._reindex((slot,))
-        return self.abbs[slot].abb_type.name
+        return self.slot_types[slot].name
 
     def _reindex(self, slots: tuple[int, ...]) -> None:
         """Re-derive the usable-slot index entries of ``slots`` (the only
         slots whose usability the caller just changed)."""
         usable = self._usable
         for slot in slots:
-            type_name = self.abbs[slot].abb_type.name
+            type_name = self.slot_types[slot].name
             current = usable[type_name]
             if self.slot_usable(slot):
                 if slot not in current:
@@ -301,8 +295,18 @@ class Island:
                 usable[type_name] = tuple(s for s in current if s != slot)
 
     def _check_slot(self, slot: int) -> None:
-        if not 0 <= slot < len(self.abbs):
+        if not 0 <= slot < self.n_slots:
             raise ConfigError(f"slot {slot} out of range")
+
+    def _raise_state(self, slot: int, action: str) -> typing.NoReturn:
+        """Raise for ``action`` ("started", "finished") on a slot whose
+        state does not allow it."""
+        state = "computing" if self._computing[slot] else (
+            "idle" if self._holders[slot] is None else "reserved"
+        )
+        raise SimulationError(
+            f"island {self.island_id}: slot {slot} {action} while {state}"
+        )
 
     # ------------------------------------------------------------ data path
     def _spm_read(self, run: Pipeline) -> None:
@@ -342,18 +346,19 @@ class Island:
     def compute(self, slot: int, invocations: int) -> Event:
         """Run ``invocations`` through a reserved slot's ABB pipeline."""
         self._check_slot(slot)
-        abb = self.abbs[slot]
-        group = self.spm_groups[slot]
-        abb.start_compute()
-        cycles = abb.abb_type.compute_cycles(invocations)
-        cycles *= 1.0 + group.conflict_penalty()
-        self.energy.charge("abb", abb.abb_type.dynamic_energy_nj(invocations))
+        if self._holders[slot] is None or self._computing[slot]:
+            self._raise_state(slot, "started")
+        self._computing[slot] = True
+        abb_type = self.slot_types[slot]
+        cycles = abb_type.compute_cycles(invocations)
+        cycles *= 1.0 + self.spm_groups[slot].conflict_penalty()
+        self.energy.charge("abb", abb_type.dynamic_energy_nj(invocations))
         return self.sim.timeout(cycles, invocations)
 
     # ------------------------------------------------------------ physicals
     def area_breakdown_mm2(self) -> dict[str, float]:
         """Area of every island component (Section 5.7 accounting)."""
-        abb_area = sum(abb.abb_type.area_mm2 for abb in self.abbs)
+        abb_area = sum(t.area_mm2 for t in self.slot_types)
         spm_area = sum(group.area_mm2 for group in self.spm_groups)
         sharing_factor = 3 if self.config.spm_sharing else 1
         abb_spm_xbar = sum(
@@ -381,7 +386,7 @@ class Island:
     @property
     def static_power_mw(self) -> float:
         """Total island leakage: ABBs + SPM + networks + fixed blocks."""
-        abb_static = sum(abb.abb_type.static_power_mw for abb in self.abbs)
+        abb_static = sum(t.static_power_mw for t in self.slot_types)
         spm_static = sum(group.static_power_mw for group in self.spm_groups)
         breakdown = self.area_breakdown_mm2()
         fixed_area = (
@@ -397,7 +402,3 @@ class Island:
     def average_abb_utilization(self, elapsed: float) -> float:
         """Time-weighted average fraction of busy ABBs."""
         return self.abb_tracker.average_utilization(elapsed)
-
-    def peak_abb_utilization(self) -> float:
-        """Peak fraction of simultaneously busy ABBs."""
-        return self.abb_tracker.peak_utilization

@@ -1,8 +1,10 @@
 """Per-ABB SPM bank groups.
 
-Each ABB owns a group of SPM banks sized by its type (``spm_banks_min``
-banks at peak throughput).  Section 5.4's porting study is modeled as a
-small residual bank-conflict penalty on compute time: with exact porting a
+Each ABB slot has a group of SPM banks sized by its type
+(``spm_banks_min`` banks at peak throughput).  A group is the physical
+model only: which task holds the slot, and so its banks, is recorded by
+the island.  Section 5.4's porting study is modeled as a small residual
+bank-conflict penalty on compute time: with exact porting a
 software-managed layout removes *almost* all conflicts (a ~2 % residue
 remains); doubling the ports removes the residue entirely but pays area
 and leakage for every extra port.
@@ -11,7 +13,6 @@ and leakage for every extra port.
 from __future__ import annotations
 
 from repro.abb.types import ABBType
-from repro.errors import SimulationError
 from repro.island.config import SpmPorting
 from repro.power.spm_model import SPMModel
 
@@ -27,35 +28,9 @@ class SPMGroup:
         self.abb_type = abb_type
         self.porting = porting
         self.banks = abb_type.spm_banks_min
-        self.ports_per_bank = porting.value
-        self._model = SPMModel(
-            bank_bytes=abb_type.spm_bank_bytes, ports=self.ports_per_bank
-        )
+        self._model = SPMModel(bank_bytes=abb_type.spm_bank_bytes, ports=porting.value)
         self.bytes_read = 0.0
         self.bytes_written = 0.0
-        self._owner: object = None
-
-    # ------------------------------------------------------------ occupancy
-    @property
-    def is_free(self) -> bool:
-        """Whether no task currently owns the group."""
-        return self._owner is None
-
-    def acquire(self, owner: object) -> None:
-        """Claim the group for a task (paper: one ABB per bank at a time)."""
-        if self._owner is not None:
-            raise SimulationError("SPM group already owned")
-        self._owner = owner
-
-    def require_owner(self, owner: object) -> None:
-        """Raise unless ``owner`` currently owns the group."""
-        if self._owner is not owner:
-            raise SimulationError("SPM group released by non-owner")
-
-    def release(self, owner: object) -> None:
-        """Release the group; must be the current owner."""
-        self.require_owner(owner)
-        self._owner = None
 
     # --------------------------------------------------------------- timing
     def conflict_penalty(self) -> float:

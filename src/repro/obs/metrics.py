@@ -42,8 +42,21 @@ _PROM_SANITIZE_RE = re.compile(r"[^a-zA-Z0-9_:]")
 #: Percentiles exported for histogram metrics.
 HISTOGRAM_PERCENTILES = (50.0, 95.0, 99.0)
 
+#: The value components each built-in kind carries, as the registry's
+#: registration methods write them.  A snapshot entry of one of these
+#: kinds must have exactly these; other kinds export as gauges.
+_KIND_COMPONENTS = {
+    "counter": {"value"},
+    "gauge": {"value"},
+    "time_weighted_gauge": {"average", "peak"},
+    "histogram": {"count", "mean", "min", "max"}
+    | {f"p{p:g}" for p in HISTOGRAM_PERCENTILES},
+}
+
 
 def _check_name(name: str) -> str:
+    if not isinstance(name, str):
+        raise ConfigError(f"metric name must be a string, got {name!r}")
     if not name:
         raise ConfigError("metric name must be non-empty")
     for segment in name.split("."):
@@ -252,8 +265,15 @@ class MetricsRegistry:
                 raise ConfigError(
                     f"serialized metric {entry['name']!r} field 'values': {err}"
                 ) from None
+            kind = entry["kind"]
+            expected = _KIND_COMPONENTS.get(kind) if isinstance(kind, str) else None
+            if expected is not None and set(values) != expected:
+                raise ConfigError(
+                    f"serialized {kind} {entry['name']!r} must have values "
+                    f"{sorted(expected)}, got {sorted(values)}"
+                )
             registry.register(
-                Metric(entry["name"], entry["kind"], values, entry.get("help", ""))
+                Metric(entry["name"], kind, values, entry.get("help", ""))
             )
         return registry
 
@@ -358,7 +378,7 @@ def system_metrics(
         "abc.alloc.service_cycles", abc.service_cycles,
         help="grant-to-release hold time per ABB allocation",
     )
-    registry.counter("abc.alloc.grants", float(abc.total_grants))
+    registry.counter("abc.alloc.grants", float(abc.wait_cycles.count))
     registry.counter("abc.alloc.queued", float(abc.total_queued))
     registry.counter("abc.alloc.fallbacks", float(abc.fallback_grants))
     registry.counter("mesh.transfers", float(system.noc.total_transfers))

@@ -25,6 +25,7 @@ Three pluggable policies:
 from __future__ import annotations
 
 import enum
+import math
 import typing
 from dataclasses import dataclass
 
@@ -52,9 +53,9 @@ class AdmissionConfig:
 
     Attributes:
         policy: One of :data:`ADMISSION_POLICIES`.
-        wait_bound_cycles: Estimated-wait bound for ``wait_threshold``;
-            ``None`` means "the request's own software cost" (ARC's
-            rational fallback point).
+        wait_bound_cycles: Estimated-wait bound for ``wait_threshold``,
+            positive and finite; ``None`` means "the request's own
+            software cost" (ARC's rational fallback point).
         queue_bound: ABC queue depth beyond which ``shed`` drops
             requests.
     """
@@ -69,10 +70,9 @@ class AdmissionConfig:
                 f"unknown admission policy {self.policy!r}; choose from "
                 f"{sorted(ADMISSION_POLICIES)}"
             )
-        if self.wait_bound_cycles is not None and self.wait_bound_cycles <= 0:
-            raise ConfigError(
-                f"wait bound must be positive, got {self.wait_bound_cycles}"
-            )
+        bound = self.wait_bound_cycles
+        if bound is not None and not 0 < bound < math.inf:
+            raise ConfigError(f"wait bound must be positive and finite, got {bound}")
         if self.queue_bound < 1:
             raise ConfigError(
                 f"queue bound must be >= 1, got {self.queue_bound}"

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from repro.abb import standard_library
 from repro.core import AcceleratorBlockComposer, first_fit, round_robin
 from repro.core.allocation import locality_then_load_balance
-from repro.core.composer import SOFTWARE_FALLBACK
+from repro.core.composer import SOFTWARE_FALLBACK, Grant
 from repro.engine import Simulator
 from repro.errors import AllocationError, ConfigError, SimulationError
 from repro.island import Island, IslandConfig
@@ -47,8 +47,8 @@ class TestRequestRelease:
         abc.request("poly").add_callback(lambda e: grants.append(e.value))
         sim.run()
         grant = grants[0]
-        islands[grant.island_index].abbs[grant.slot].start_compute()
-        abc.release(grant, invocations=10)
+        islands[grant.island_index].compute(grant.slot, 1)
+        abc.release(grant)
         assert islands[grant.island_index].slot_usable(grant.slot)
 
     def test_queue_when_all_busy(self):
@@ -58,9 +58,9 @@ class TestRequestRelease:
         def user(tag, hold):
             grant = yield abc.request("div")
             order.append((tag, sim.now))
-            islands[grant.island_index].abbs[grant.slot].start_compute()
+            islands[grant.island_index].compute(grant.slot, 1)
             yield sim.timeout(hold)
-            abc.release(grant, invocations=1)
+            abc.release(grant)
 
         sim.process(user("a", 10))
         sim.process(user("b", 10))
@@ -142,9 +142,9 @@ class TestWaiterDrain:
         def user(tag):
             grant = yield abc.request("poly")
             order.append(tag)
-            islands[grant.island_index].abbs[grant.slot].start_compute()
+            islands[grant.island_index].compute(grant.slot, 1)
             yield sim.timeout(5)
-            abc.release(grant, invocations=1)
+            abc.release(grant)
 
         for tag in "abcd":
             sim.process(user(tag))
@@ -157,17 +157,17 @@ class TestWaiterDrain:
 
         def poly_user():
             grant = yield abc.request("poly")
-            islands[grant.island_index].abbs[grant.slot].start_compute()
+            islands[grant.island_index].compute(grant.slot, 1)
             yield sim.timeout(50)
-            abc.release(grant, invocations=1)
+            abc.release(grant)
             got.append("poly_done")
 
         def div_user():
             yield sim.timeout(1)
             grant = yield abc.request("div")
             got.append(("div", sim.now))
-            islands[grant.island_index].abbs[grant.slot].start_compute()
-            abc.release(grant, invocations=1)
+            islands[grant.island_index].compute(grant.slot, 1)
+            abc.release(grant)
 
         sim.process(poly_user())
         sim.process(div_user())
@@ -219,9 +219,9 @@ class TestWaiterDrain:
 
         def user(hold):
             grant = yield abc.request("poly")
-            islands[grant.island_index].abbs[grant.slot].start_compute()
+            islands[grant.island_index].compute(grant.slot, 1)
             yield sim.timeout(hold)
-            abc.release(grant, invocations=1)
+            abc.release(grant)
 
         sim.process(user(80))
         sim.process(user(40))
@@ -239,24 +239,44 @@ class TestBadRelease:
         abc.request("poly").add_callback(lambda e: grants.append(e.value))
         sim.run()
         grant = grants[0]
-        islands[0].abbs[grant.slot].start_compute()
+        islands[0].compute(grant.slot, 1)
         sim._schedule(30.0, lambda: None)
         sim.run()
-        abc.release(grant, invocations=1)
+        abc.release(grant)
         before = (
             abc.service_cycles.count, abc.service_cycles.mean,
             islands[0].free_slots("poly"), islands[0].busy_fraction(),
-            islands[0].abbs[grant.slot].total_tasks,
+            islands[0]._holders[grant.slot], islands[0]._computing[grant.slot],
         )
         with pytest.raises(SimulationError, match="finished while idle"):
-            abc.release(grant, invocations=1)
+            abc.release(grant)
         after = (
             abc.service_cycles.count, abc.service_cycles.mean,
             islands[0].free_slots("poly"), islands[0].busy_fraction(),
-            islands[0].abbs[grant.slot].total_tasks,
+            islands[0]._holders[grant.slot], islands[0]._computing[grant.slot],
         )
         assert after == before
         assert abc.service_cycles.count == 1
+
+    def test_equal_grant_is_not_the_holder(self):
+        """A grant built by hand with the same fields as the one the ABC
+        handed out cannot release the slot; the real one still can."""
+        sim, islands, abc = make_abc(n_islands=1, mix={"poly": 1})
+        grants = []
+        abc.request("poly").add_callback(lambda e: grants.append(e.value))
+        sim.run()
+        grant = grants[0]
+        islands[0].compute(grant.slot, 1)
+        forged = Grant(
+            grant.island_index, grant.slot, grant.type_name, grant.granted_at
+        )
+        assert forged == grant
+        with pytest.raises(SimulationError, match="non-owner"):
+            abc.release(forged)
+        assert not islands[0].slot_usable(grant.slot)
+        assert abc.service_cycles.count == 0
+        abc.release(grant)
+        assert islands[0].slot_usable(grant.slot)
 
 
 class _ReferenceComposer(AcceleratorBlockComposer):
@@ -321,7 +341,6 @@ class _ReferenceComposer(AcceleratorBlockComposer):
                     # `_try_allocate`, so other types' counts stay.
                     free_count[type_name] -= 1
                     progress = True
-                    self.total_grants += 1
                     self.wait_cycles.record(self.sim.now - waiter.requested_at)
                     waiter.event.succeed(grant)
             self._waiters = remaining
@@ -370,7 +389,7 @@ def _drive(cls, policy, sharing, ops):
             resolutions.append((request_id, value))
             return
         resolutions.append((request_id, value.island_index, value.slot))
-        islands[value.island_index].abbs[value.slot].start_compute()
+        islands[value.island_index].compute(value.slot, 1)
         held.append(value)
 
     trace = []
@@ -381,7 +400,7 @@ def _drive(cls, policy, sharing, ops):
             )
         elif op[0] == "release":
             if held:
-                abc.release(held.pop(op[1] % len(held)), invocations=1)
+                abc.release(held.pop(op[1] % len(held)))
         elif not islands[op[1]]._failed[op[2]]:
             abc.on_slot_failed(islands[op[1]].fail_slot(op[2]))
         sim.run()
@@ -389,7 +408,7 @@ def _drive(cls, policy, sharing, ops):
             len(resolutions), abc._serial, abc.queue_length(),
             tuple(abc.pending_requests(t) for t in DRAIN_TYPES),
         ))
-    return resolutions, trace, abc.total_grants, abc.fallback_grants
+    return resolutions, trace, abc.wait_cycles.count, abc.fallback_grants
 
 
 class TestDrainMatchesFullRescan:

@@ -54,11 +54,8 @@ class TestTileScheduler:
         done = sched.run()
         system.sim.run()
         assert done.triggered
-        # Both ABBs saw exactly one task each.
-        total_tasks = sum(
-            abb.total_tasks for island in system.islands for abb in island.abbs
-        )
-        assert total_tasks == 2
+        # Both tasks ran on an ABB and released it exactly once.
+        assert system.abc.service_cycles.count == 2
 
     def test_all_abbs_released_at_end(self):
         system = make_system()
@@ -66,8 +63,8 @@ class TestTileScheduler:
         TileScheduler(system, g, tile_id=0).run()
         system.sim.run()
         for island in system.islands:
-            for abb in island.abbs:
-                assert abb.is_free
+            assert island._holders == [None] * island.n_slots
+            assert not any(island._computing)
 
     def test_parallel_tiles_share_abbs(self):
         system = make_system(mix={"poly": 2, "div": 1, "sqrt": 1})

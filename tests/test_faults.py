@@ -44,6 +44,25 @@ class TestFaultSpec:
         with pytest.raises(ConfigError):
             FaultSpec(**kwargs)
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "abb_failure_window",
+            "dma_stall_cycles",
+            "dma_timeout_cycles",
+            "dma_backoff_base",
+            "noc_degrade_factor",
+        ],
+    )
+    def test_non_finite_delay_rejected(self, name, value):
+        """NaN and inf used to pass the lower-bound checks and stop the
+        run mid-way with a SimulationError."""
+        with pytest.raises(ConfigError, match=name):
+            FaultSpec(**{name: float(value)})
+        with pytest.raises(ConfigError, match=name):
+            parse_fault_spec(f"abb:0.25,dma:0.1,{name}={value}")
+
     def test_label_round_trips_through_parse(self):
         spec = FaultSpec(
             abb_failure_fraction=0.25,

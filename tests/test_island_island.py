@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.abb import standard_library
-from repro.abb.instance import ABBState
 from repro.engine import Simulator
 from repro.errors import AllocationError, ConfigError, SimulationError
 from repro.island import Island, IslandConfig, NetworkKind, SpmDmaNetworkConfig, SpmPorting
@@ -35,11 +34,6 @@ class TestConstruction:
         with pytest.raises(ConfigError):
             make_island(abb_mix={"fft": 2})
 
-    def test_abb_ids_unique_per_island(self):
-        _, island, _ = make_island()
-        ids = [abb.abb_id for abb in island.abbs]
-        assert len(set(ids)) == len(ids)
-
 
 class TestAllocation:
     def test_allocate_and_release(self):
@@ -48,8 +42,8 @@ class TestAllocation:
         island.allocate(slot, owner="t1")
         assert not island.slot_usable(slot)
         assert island.busy_fraction() == pytest.approx(1 / 5)
-        island.abbs[slot].start_compute()
-        island.release(slot, owner="t1", invocations=10)
+        island.compute(slot, invocations=10)
+        island.release(slot, owner="t1")
         assert island.slot_usable(slot)
 
     def test_allocate_busy_slot_rejected(self):
@@ -76,8 +70,8 @@ class TestAllocation:
     def test_sharing_release_unlocks(self):
         _, island, _ = make_island(spm_sharing=True)
         island.allocate(2, "t")
-        island.abbs[2].start_compute()
-        island.release(2, "t", invocations=1)
+        island.compute(2, invocations=1)
+        island.release(2, "t")
         assert island.slot_usable(1)
         assert island.slot_usable(3)
 
@@ -107,9 +101,8 @@ class TestAllocation:
 def slot_state(island):
     """Everything a release touches, for before/after comparisons."""
     return (
-        [abb.state for abb in island.abbs],
-        [abb.total_tasks for abb in island.abbs],
-        [group.is_free for group in island.spm_groups],
+        list(island._holders),
+        list(island._computing),
         list(island._neighbor_locks),
         {t: island.free_slots(t) for t in island._slots_by_type},
         island.busy_fraction(),
@@ -123,12 +116,12 @@ class TestBadRelease:
     def test_wrong_owner(self, sharing):
         _, island, _ = make_island(spm_sharing=sharing)
         island.allocate(2, "owner")
-        island.abbs[2].start_compute()
+        island.compute(2, invocations=1)
         before = slot_state(island)
         with pytest.raises(SimulationError, match="non-owner"):
-            island.release(2, "intruder", invocations=1)
+            island.release(2, "intruder")
         assert slot_state(island) == before
-        island.release(2, "owner", invocations=1)  # still releasable
+        island.release(2, "owner")  # still releasable
         assert island.slot_usable(2)
 
     def test_release_before_compute(self):
@@ -136,17 +129,38 @@ class TestBadRelease:
         island.allocate(2, "owner")
         before = slot_state(island)
         with pytest.raises(SimulationError, match="finished while reserved"):
-            island.release(2, "owner", invocations=1)
+            island.release(2, "owner")
         assert slot_state(island) == before
 
     def test_double_release(self):
         _, island, _ = make_island(spm_sharing=True)
         island.allocate(2, "owner")
-        island.abbs[2].start_compute()
-        island.release(2, "owner", invocations=1)
+        island.compute(2, invocations=1)
+        island.release(2, "owner")
         before = slot_state(island)
         with pytest.raises(SimulationError, match="finished while idle"):
-            island.release(2, "owner", invocations=1)
+            island.release(2, "owner")
+        assert slot_state(island) == before
+
+
+class TestBadCompute:
+    """Compute needs a held slot that is not computing yet, and a
+    rejected compute changes nothing."""
+
+    def test_compute_on_free_slot(self):
+        _, island, _ = make_island()
+        before = slot_state(island)
+        with pytest.raises(SimulationError, match="started while idle"):
+            island.compute(2, invocations=1)
+        assert slot_state(island) == before
+
+    def test_second_compute(self):
+        _, island, _ = make_island()
+        island.allocate(2, "owner")
+        island.compute(2, invocations=1)
+        before = slot_state(island)
+        with pytest.raises(SimulationError, match="started while computing"):
+            island.compute(2, invocations=1)
         assert slot_state(island) == before
 
 
@@ -167,19 +181,20 @@ class TestUsableSlotIndex:
     @settings(max_examples=150, deadline=None)
     @given(sharing=st.booleans(), ops=index_ops)
     def test_index_matches_predicate(self, sharing, ops):
-        """After any allocate / start_compute / release / fail_slot
+        """After any allocate / compute / release / fail_slot
         sequence, free_slots(t) is exactly the slots slot_usable accepts."""
         _, island, _ = make_island(spm_sharing=sharing, abb_mix=dict(INDEX_MIX))
         owners = {}
         for op, slot in ops:
-            state = island.abbs[slot].state
+            held = island._holders[slot] is not None
+            computing = island._computing[slot]
             if op == "allocate" and island.slot_usable(slot):
                 owners[slot] = object()
                 island.allocate(slot, owners[slot])
-            elif op == "start" and state is ABBState.RESERVED:
-                island.abbs[slot].start_compute()
-            elif op == "release" and state is ABBState.COMPUTING:
-                island.release(slot, owners.pop(slot), invocations=1)
+            elif op == "start" and held and not computing:
+                island.compute(slot, invocations=1)
+            elif op == "release" and computing:
+                island.release(slot, owners.pop(slot))
             elif op == "fail" and not island._failed[slot]:
                 island.fail_slot(slot)
             for type_name in INDEX_MIX:
@@ -219,7 +234,7 @@ class TestDataPath:
         sim, island, _ = make_island(spm_porting=SpmPorting.DOUBLE)
         island.allocate(0, "t")
         t = self.run_event(sim, island.compute(0, invocations=100))
-        poly = island.abbs[0].abb_type
+        poly = island.slot_types[0]
         assert t == pytest.approx(poly.compute_cycles(100))
 
     def test_exact_porting_adds_conflict_penalty(self):
@@ -278,4 +293,4 @@ class TestPhysicals:
         sim._schedule(100.0, lambda: None)
         sim.run()
         assert island.average_abb_utilization(100.0) == pytest.approx(1 / 5)
-        assert island.peak_abb_utilization() == pytest.approx(1 / 5)
+        assert island.abb_tracker.peak_utilization == pytest.approx(1 / 5)

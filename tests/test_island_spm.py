@@ -3,7 +3,6 @@
 import pytest
 
 from repro.abb import standard_library
-from repro.errors import SimulationError
 from repro.island import SpmPorting
 from repro.island.spm import EXACT_PORTING_CONFLICT_PENALTY, SPMGroup
 
@@ -11,28 +10,6 @@ from repro.island.spm import EXACT_PORTING_CONFLICT_PENALTY, SPMGroup
 @pytest.fixture
 def poly():
     return standard_library().get("poly")
-
-
-class TestOwnership:
-    def test_acquire_release(self, poly):
-        group = SPMGroup(poly, SpmPorting.EXACT)
-        assert group.is_free
-        group.acquire("task1")
-        assert not group.is_free
-        group.release("task1")
-        assert group.is_free
-
-    def test_double_acquire_rejected(self, poly):
-        group = SPMGroup(poly, SpmPorting.EXACT)
-        group.acquire("a")
-        with pytest.raises(SimulationError):
-            group.acquire("b")
-
-    def test_release_by_non_owner_rejected(self, poly):
-        group = SPMGroup(poly, SpmPorting.EXACT)
-        group.acquire("a")
-        with pytest.raises(SimulationError):
-            group.release("b")
 
 
 class TestPorting:

@@ -171,6 +171,31 @@ class TestExport:
         with pytest.raises(ConfigError):
             MetricsRegistry.load(str(path))
 
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            {"name": 5, "kind": "counter", "values": {"value": 1}},
+            {"name": "a", "kind": "counter", "values": {}},
+            {"name": "a", "kind": "histogram", "values": {"value": 1}},
+        ],
+        ids=["name-not-a-string", "counter-without-value",
+             "histogram-without-summary"],
+    )
+    def test_malformed_entry_rejected_at_load(self, entry):
+        """Each entry used to load (or die with a bare AttributeError)
+        and then make to_prometheus() raise KeyError."""
+        data = {"schema_version": METRICS_SCHEMA_VERSION, "metrics": [entry]}
+        with pytest.raises(ConfigError):
+            MetricsRegistry.from_json_dict(data)
+
+    def test_other_kind_exports_as_gauge(self):
+        data = {
+            "schema_version": METRICS_SCHEMA_VERSION,
+            "metrics": [{"name": "a", "kind": "rate", "values": {"x": 2}}],
+        }
+        text = MetricsRegistry.from_json_dict(data).to_prometheus()
+        assert "repro_a_x 2" in text.splitlines()
+
     def test_prometheus_format(self):
         text = self.make_registry().to_prometheus()
         lines = text.splitlines()

@@ -144,6 +144,13 @@ class TestAdmission:
         with pytest.raises(ConfigError):
             AdmissionConfig(policy="shed", queue_bound=0)
 
+    @pytest.mark.parametrize("bound", [float("nan"), float("inf")])
+    def test_non_finite_wait_bound_rejected(self, bound):
+        """A NaN bound used to pass, and every `estimate > nan` is
+        false, so serving silently never fell back."""
+        with pytest.raises(ConfigError, match="positive and finite"):
+            AdmissionConfig(policy="wait_threshold", wait_bound_cycles=bound)
+
     def _contended_frontend(self, admission):
         """A frontend over a system whose only poly slots are all busy."""
         system = SystemModel(
